@@ -20,7 +20,9 @@ Numerical safeguards: e^{it} - 1 is formed as 2i sin(t/2) e^{it/2} (no
 cancellation), the integrals substitute t = e^{-s} so the integrand is
 tame near 0, partial integrals accumulate with compensated summation, and
 1 - e^{it} is asserted to stay in the right half-plane (principal log
-branch unambiguous; violating that raises).
+branch unambiguous; violating that raises).  The integrals run through
+:func:`padelab.domains.adaptive_gauss_legendre`, which raises
+QuadratureError when a piece does not converge.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import adaptive_gauss_legendre
 from .errors import PreconditionError, SingularPointError
 
 # t0 values are restricted to (0, pi/2); partial integrals use eps < t0.
@@ -183,9 +186,6 @@ def _kahan_add(total: complex, carry: complex, term: complex) -> tuple[complex, 
     return t, carry
 
 
-_S_NODES, _S_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
 def _integrate_log_substituted(func, s_lo: float, s_hi: float, tol: float) -> complex:
     """Adaptive Gauss-Legendre of func(t) e^{-s} ds with t = e^{-s}."""
 
@@ -193,22 +193,7 @@ def _integrate_log_substituted(func, s_lo: float, s_hi: float, tol: float) -> co
         t = math.exp(-s)
         return func(t) * t
 
-    def segment(a: float, b: float) -> complex:
-        mid, rad = (a + b) / 2.0, (b - a) / 2.0
-        acc = 0j
-        for x, w in zip(_S_NODES, _S_WEIGHTS):
-            acc += w * g(mid + rad * x)
-        return acc * rad
-
-    def adaptive(a: float, b: float, tol: float, depth: int) -> complex:
-        whole = segment(a, b)
-        mid = (a + b) / 2.0
-        halves = segment(a, mid) + segment(mid, b)
-        if abs(halves - whole) <= tol or depth >= 24:
-            return halves
-        return adaptive(a, mid, tol / 2.0, depth + 1) + adaptive(mid, b, tol / 2.0, depth + 1)
-
-    return adaptive(s_lo, s_hi, tol, 0)
+    return adaptive_gauss_legendre(g, s_lo, s_hi, tol)
 
 
 def comparator_value(eps: float, t0: float) -> float:
@@ -221,7 +206,8 @@ def divergence_experiment(eps_list, t0: float = 0.5, tol: float = 1e-11) -> Dive
 
     For each eps in the (strictly decreasing) list, computes
     I = |int_eps^t0 h dt| and J = int_eps^t0 |h| dt with the t = e^{-s}
-    substitution and compensated summation, together with the comparator
+    substitution and compensated summation (QuadratureError if a piece
+    misses tol), together with the comparator
     2 (ln ln(1/eps) - ln ln(1/t0)) and arg h(eps).  Also measures the
     half-mass window: on [eps_min, t1] where the sampled arg variation of
     h stays below pi/3, it reports |int h| and int |h| (the former must

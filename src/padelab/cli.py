@@ -10,9 +10,11 @@ Exit codes: 0 success, 2 precondition error, 3 numeric failure, 64 usage.
 A JSON config file (--config) may define named objects referenced by
 flags: rational functions under "rationals" (numerator/denominator
 coefficient arrays of [re, im] pairs), domains under "domains" and
-samples under "samples".  The environment variable PADE_LAB_THREADS caps
-the thread count used for per-center certificate evaluation (default 1,
-sequential).
+samples under "samples".
+
+Path integrals (moments) and the divergence experiment share one adaptive
+Gauss-Legendre engine; its non-convergence raises QuadratureError, which
+exits with code 3.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_NUMERIC = 3
 EXIT_USAGE = 64
-
-DEFAULT_SEED = 20240101
 
 
 class UsageError(Exception):
@@ -380,8 +380,6 @@ def cmd_divergence(args, config) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="padelab", description=__doc__.splitlines()[0])
     parser.add_argument("--config", default=None, help="JSON config with named objects")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for randomized fixtures (default %(default)s)")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("pade", help="construct a Pade approximant of a builtin series")

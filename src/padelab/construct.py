@@ -30,7 +30,6 @@ This module turns existence arguments into checkable computations:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,7 +295,6 @@ def universality_certificate(
     q: int,
     s: int,
     max_derivative_order: int | None = None,
-    threads: int | None = None,
 ) -> UniversalityCertificate:
     """Certificate for membership in the two approximation sets.
 
@@ -309,10 +307,8 @@ def universality_certificate(
     approximant against f's derivatives for orders 0..max_derivative_order
     (default s).
 
-    Per-center work is pure, so it may run on a thread pool; ``threads``
-    defaults to the PADE_LAB_THREADS environment variable (1 = serial).
-    Results are collected in center order either way, so the certificate
-    is deterministic.
+    Centers are processed one after another in sample order, so the
+    certificate is deterministic.
     """
     ell_max = s if max_derivative_order is None else max_derivative_order
     target_eval = target if callable(target) else (lambda z: target)
@@ -353,15 +349,7 @@ def universality_certificate(
             tuple(deriv_sups),
         )
 
-    if threads is None:
-        threads = int(os.environ.get("PADE_LAB_THREADS", "1"))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(record_for, centers.points))
-    else:
-        records = [record_for(zeta) for zeta in centers.points]
+    records = [record_for(zeta) for zeta in centers.points]
 
     all_normal = all(r.normal for r in records)
     e_on_k = all(r.margin_on_k > 0 for r in records)
@@ -587,6 +575,14 @@ def _winding_inside(sample: CompactSample, point: complex) -> bool:
     return abs(total) > math.pi
 
 
+def _pole_term(c: complex, a: complex, j: int) -> RationalFunction:
+    """The term c / (z - a)^j."""
+    den = Polynomial([1.0])
+    for _ in range(j):
+        den = den * Polynomial([-a, 1.0])
+    return RationalFunction(Polynomial([c]), den)
+
+
 def principal_parts(rational: RationalFunction, region) -> RationalFunction:
     """Sum of principal parts at the poles inside a region.
 
@@ -626,10 +622,7 @@ def principal_parts(rational: RationalFunction, region) -> RationalFunction:
         for j, c in enumerate(coeffs, start=1):
             if c == 0:
                 continue
-            den = Polynomial([1.0])
-            for _ in range(j):
-                den = den * Polynomial([-pole, 1.0])
-            total = total + RationalFunction(Polynomial([c]), den)
+            total = total + _pole_term(c, pole, j)
     _verify_residues_vanish(rational - total, [p for p, _ in selected], 1)
     return total
 
@@ -687,10 +680,7 @@ def residue_correction(
             table[(a, j)] = c
             if c == 0:
                 continue
-            den = Polynomial([1.0])
-            for _ in range(j):
-                den = den * Polynomial([-a, 1.0])
-            corrected = corrected - RationalFunction(Polynomial([c]), den)
+            corrected = corrected - _pole_term(c, a, j)
     _verify_residues_vanish(corrected, listed, n)
     return corrected, table
 

@@ -16,7 +16,10 @@ path stays strictly interior for sampled profiles.
 
 Path integrals use composite 16-node Gauss-Legendre per segment with
 adaptive bisection; the node set is deterministic, so repeated runs give
-identical values.
+identical values.  :func:`adaptive_gauss_legendre` is the package's one
+quadrature engine (the divergence experiment in ``blowup`` uses it too);
+a segment that does not converge within MAX_BISECTIONS bisections raises
+QuadratureError rather than returning its last estimate.
 """
 
 from __future__ import annotations
@@ -341,7 +344,13 @@ def _gauss_segment(f, a: complex, b: complex) -> complex:
     return acc * rad
 
 
-def _adaptive_segment(f, a: complex, b: complex, tol: float, depth: int) -> complex:
+def adaptive_gauss_legendre(f, a: complex, b: complex, tol: float, depth: int = 0) -> complex:
+    """Integral of f over the real or complex segment [a, b], to absolute tolerance tol.
+
+    Each step compares one 16-node Gauss-Legendre estimate with the sum over
+    the two halves and bisects until they agree; raises QuadratureError when
+    a piece is still unresolved after MAX_BISECTIONS bisections.
+    """
     whole = _gauss_segment(f, a, b)
     mid = (a + b) / 2.0
     halves = _gauss_segment(f, a, mid) + _gauss_segment(f, mid, b)
@@ -352,7 +361,7 @@ def _adaptive_segment(f, a: complex, b: complex, tol: float, depth: int) -> comp
         raise QuadratureError(
             f"no convergence after {MAX_BISECTIONS} bisections on [{a}, {b}]"
         )
-    return _adaptive_segment(f, a, mid, tol / 2.0, depth + 1) + _adaptive_segment(
+    return adaptive_gauss_legendre(f, a, mid, tol / 2.0, depth + 1) + adaptive_gauss_legendre(
         f, mid, b, tol / 2.0, depth + 1
     )
 
@@ -367,7 +376,7 @@ def path_integral(f, path, tol: float = QUAD_TOL) -> complex:
 
         pieces = np.linspace(0.0, 2.0 * math.pi, 9)
         return sum(
-            _adaptive_segment(g, a, b, tol / 8.0, 0) for a, b in zip(pieces, pieces[1:])
+            adaptive_gauss_legendre(g, a, b, tol / 8.0) for a, b in zip(pieces, pieces[1:])
         )
     segments = path.segments()
     if not segments:
@@ -376,7 +385,7 @@ def path_integral(f, path, tol: float = QUAD_TOL) -> complex:
     for a, b in segments:
         if a == b:
             continue
-        acc += _adaptive_segment(f, a, b, tol / max(1, len(segments)), 0)
+        acc += adaptive_gauss_legendre(f, a, b, tol / max(1, len(segments)))
     return acc
 
 
@@ -398,7 +407,7 @@ def starlike_antiderivative(f, z: complex, tol: float = QUAD_TOL) -> complex:
     z = complex(z)
     if z == 0:
         return 0j
-    return _adaptive_segment(lambda t: f(t * z) * z, 0.0, 1.0, tol, 0)
+    return adaptive_gauss_legendre(lambda t: f(t * z) * z, 0.0, 1.0, tol)
 
 
 def moment_test(f, cycle, n: int, tol: float = QUAD_TOL) -> list[complex]:

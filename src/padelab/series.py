@@ -420,12 +420,7 @@ class PowerSeries:
             )
         return complex(self.coefficients[k])
 
-    def __call__(self, z: complex) -> complex:
-        w = complex(z) - self.center
-        acc = 0j
-        for c in self.coefficients[::-1]:
-            acc = acc * w + c
-        return acc
+    __call__ = Polynomial.__call__
 
     def to_data(self) -> dict:
         return {

@@ -14,7 +14,8 @@ from padelab import (
     pinch_map_derivative,
     singular_inner,
 )
-from padelab.errors import PreconditionError, SingularPointError
+import padelab.blowup
+from padelab.errors import PreconditionError, QuadratureError, SingularPointError
 
 
 class TestPinchMap:
@@ -156,6 +157,15 @@ class TestDivergenceExperiment:
         trapz = np.trapezoid(values, s)
         report = divergence_experiment([eps], t0=t0)
         assert abs(report.rows[0].I - abs(trapz)) < 1e-6
+
+    def test_unresolved_integrand_raises(self, monkeypatch):
+        # a jump at t = 0.1 (not a bisection point in s) keeps the piece
+        # around it from converging; the integral must raise, not return
+        # its last estimate (0.4 - 8.5e-11, off by more than tol = 1e-11)
+        monkeypatch.setattr(padelab.blowup, "boundary_integrand",
+                            lambda t: 1 + 0j if t > 0.1 else 0j)
+        with pytest.raises(QuadratureError):
+            divergence_experiment([1e-2, 1e-4], 0.5)
 
     def test_precondition_errors(self):
         with pytest.raises(PreconditionError):

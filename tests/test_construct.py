@@ -156,17 +156,6 @@ class TestUniversalityCertificate:
         assert cert.t_set_member
         assert cert.sup_chordal_on_k < 1e-9
 
-    def test_thread_pool_is_deterministic(self):
-        phi = rational([1.0, 2.0], [1.0, -1.0])
-        centers = disc_grid_sample(0.0, 0.3, 3)
-        k = circle_sample(3.0, 0.5, 16)
-        args = (phi, centers, k, centers, phi, 1, 1)
-        serial = universality_certificate(*args, s=10, max_derivative_order=2, threads=1)
-        pooled = universality_certificate(*args, s=10, max_derivative_order=2, threads=4)
-        assert serial.sup_chordal_on_k == pooled.sup_chordal_on_k
-        assert serial.sup_derivative_errors == pooled.sup_derivative_errors
-        assert serial.hankel_values == pooled.hankel_values
-
     def test_hankel_zero_reported_with_witness(self):
         geometric = rational([1.0], [1.0, -1.0])
         centers = disc_grid_sample(0.0, 0.2, 2)

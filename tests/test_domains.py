@@ -17,7 +17,7 @@ from padelab import (
     path_integral,
     starlike_antiderivative,
 )
-from padelab.errors import PathOutsideDomainError
+from padelab.errors import PathOutsideDomainError, QuadratureError
 
 from conftest import complex_normal
 
@@ -88,6 +88,10 @@ class TestPathIntegral:
         square = PolylinePath([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
         value = path_integral(lambda z: 1.0 / z, square)
         assert abs(value - 2j * math.pi) < 1e-10
+
+    def test_unresolved_integrand_raises(self):
+        with pytest.raises(QuadratureError):
+            path_integral(lambda z: 1.0 if z.real > 0.1 else 0.0, PolylinePath([0, 1]))
 
 
 class TestAntiderivative:
