@@ -72,6 +72,7 @@ from .pade import (
     PadeApproximant,
     common_zero_margin,
     evaluate_extended,
+    evaluate_extended_array,
     hankel_determinant,
     normality,
     pade_construct,
@@ -90,7 +91,15 @@ from .series import (
     rational_normalize,
     series_builtin,
     taylor_of_rational,
+    values_on,
 )
-from .sphere import SupChordal, chordal, dyadic_round, rationalize_coefficients, sup_chordal
+from .sphere import (
+    SupChordal,
+    chordal,
+    chordal_array,
+    dyadic_round,
+    rationalize_coefficients,
+    sup_chordal,
+)
 
 __version__ = "0.1.0"

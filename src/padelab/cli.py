@@ -32,7 +32,7 @@ from .domains import CirclePath, DiscDomain, DomainSpec, moment_test
 from .errors import NumericError, PadeLabError, PreconditionError
 from .pade import pade_construct
 from .samples import CompactSample, circle_sample, disc_grid_sample, segment_sample
-from .series import Polynomial, RationalFunction, partial_sum, series_builtin
+from .series import Polynomial, RationalFunction, modulus, partial_sum, series_builtin
 from .sphere import chordal, rationalize_coefficients, sup_chordal
 
 EXIT_OK = 0
@@ -322,12 +322,12 @@ def cmd_cascade(args, config) -> int:
     domain = resolve_domain(args.domain, config)
     radii = np.linspace(0.1, 1.0, 10)
     angles = 2.0 * np.pi * np.arange(args.grid // 10) / max(1, args.grid // 10)
-    grid = np.array([r * np.exp(1j * t) for r in radii for t in angles])
+    grid = (radii[:, None] * np.exp(1j * angles)).ravel()
     m = domain.path_budget.M
     rows = []
     level = cascade
     for k in range(0, n + 1):
-        sup_err = max(abs(level(z) - np.exp(z)) for z in grid) if args.f == "exp" else math.nan
+        sup_err = np.max(modulus(level(grid) - np.exp(grid))) if args.f == "exp" else math.nan
         bound = args.eps / (m + 1.0) ** k
         rows.append({"k": k, "sup_error": float(sup_err), "bound": bound,
                      "within": bool(sup_err < bound)})

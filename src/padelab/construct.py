@@ -46,19 +46,21 @@ from .errors import (
     RootFindingError,
     VerificationError,
 )
-from .pade import common_zero_margin, normality, pade_construct
+from .pade import common_zero_margin, evaluate_extended_array, normality, pade_construct
 from .samples import CompactSample
 from .series import (
     Polynomial,
     PowerSeries,
     RationalFunction,
+    modulus,
     polynomial_divmod,
     polynomial_gcd,
     polynomial_resultant,
     rational_normalize,
     taylor_of_rational,
+    values_on,
 )
-from .sphere import chordal
+from .sphere import chordal_array
 
 # Poles computed from a denominator are merged when closer than this.
 POLE_MERGE_TOL = 1e-8
@@ -87,12 +89,6 @@ def _derivative_rows(points: np.ndarray, degree: int, order: int, shift: complex
     return m
 
 
-def _targets_as_values(target, points: np.ndarray) -> np.ndarray:
-    if callable(target):
-        return np.array([complex(target(z)) for z in points])
-    return np.asarray(target, dtype=complex)
-
-
 def two_set_poly_fit(
     k_sample: CompactSample | None,
     k_target,
@@ -105,10 +101,12 @@ def two_set_poly_fit(
 
     ``k_target`` gives values on ``k_sample`` (array or callable);
     ``l_targets`` is a list over derivative orders 0..N of arrays or
-    callables on ``l_sample``.  The search runs degree 0..max_degree and
-    accepts the first degree whose max residual over all constraints is
-    <= tol; when the samples carry refinement generators and the targets
-    are callables, acceptance is re-verified on 4x refined samples.
+    callables on ``l_sample``.  A callable is called once on the whole
+    array of sample points (see :func:`padelab.series.values_on`).  The
+    search runs degree 0..max_degree and accepts the first degree whose
+    max residual over all constraints is <= tol; when the samples carry
+    refinement generators and the targets are callables, acceptance is
+    re-verified on 4x refined samples.
 
     Returns (polynomial, report); raises FitFailureError with the best
     achieved residual when no degree within the cap verifies.
@@ -127,9 +125,9 @@ def two_set_poly_fit(
     shift = complex(all_points.mean())
     scale = max(1.0, float(np.abs(all_points - shift).max()))
 
-    k_values = _targets_as_values(k_target, k_points) if k_sample is not None else None
+    k_values = values_on(k_target, k_points) if k_sample is not None else None
     l_orders = list(l_targets) if l_sample is not None else []
-    l_values = [_targets_as_values(target, l_points) for target in l_orders]
+    l_values = [values_on(target, l_points) for target in l_orders]
 
     def assemble(degree: int):
         rows, rhs = [], []
@@ -144,10 +142,9 @@ def two_set_poly_fit(
     def residual_of(poly: Polynomial) -> float:
         worst = 0.0
         if k_sample is not None:
-            worst = max(abs(poly(z) - v) for z, v in zip(k_points, k_values))
+            worst = _max_error(poly, k_points, k_values)
         for order, values in enumerate(l_values):
-            dp = poly.derivative(order)
-            worst = max(worst, max(abs(dp(z) - v) for z, v in zip(l_points, values)))
+            worst = max(worst, _max_error(poly.derivative(order), l_points, values))
         return worst
 
     best_res, best_deg, best_poly = math.inf, -1, None
@@ -180,17 +177,21 @@ def two_set_poly_fit(
     )
 
 
+def _max_error(f, points: np.ndarray, values: np.ndarray) -> float:
+    """max |f(z) - value| over the points."""
+    return np.max(modulus(f(points) - values))
+
+
 def _verify_on_refined(poly, k_sample, k_target, l_sample, l_orders, fallback: float) -> float:
     """Max residual on 4x refined samples where generators and callables allow."""
     worst = fallback
     if k_sample is not None and callable(k_target) and k_sample.refine is not None:
-        fine = k_sample.refined(4)
-        worst = max(worst, max(abs(poly(z) - complex(k_target(z))) for z in fine.points))
+        fine = k_sample.refined(4).points
+        worst = max(worst, _max_error(poly, fine, values_on(k_target, fine)))
     if l_sample is not None and l_sample.refine is not None and all(callable(t) for t in l_orders):
-        fine = l_sample.refined(4)
+        fine = l_sample.refined(4).points
         for order, target in enumerate(l_orders):
-            dp = poly.derivative(order)
-            worst = max(worst, max(abs(dp(z) - complex(target(z))) for z in fine.points))
+            worst = max(worst, _max_error(poly.derivative(order), fine, values_on(target, fine)))
     return worst
 
 
@@ -299,10 +300,12 @@ def universality_certificate(
     """Certificate for membership in the two approximation sets.
 
     ``f`` must expose ``taylor_at(center, order)`` and ``derivative(order)``
-    (a RationalFunction does); ``target`` is evaluated on K through the
-    chordal metric (callable, or anything accepted by chordal).  At every
-    center the (p, q) approximant is built from the local Taylor series;
-    sups over K and the derivative sample are per-center maxima.
+    and evaluate arrays of points (a RationalFunction does); ``target`` is
+    evaluated once on the array of K points (see
+    :func:`padelab.series.values_on`) and compared through the chordal
+    metric.  At every center the (p, q) approximant is built from the
+    local Taylor series; sups over K and the derivative sample are
+    per-center maxima over whole sample arrays.
     Derivative errors compare exact rational derivatives of the
     approximant against f's derivatives for orders 0..max_derivative_order
     (default s).
@@ -311,10 +314,12 @@ def universality_certificate(
     certificate is deterministic.
     """
     ell_max = s if max_derivative_order is None else max_derivative_order
-    target_eval = target if callable(target) else (lambda z: target)
+    k_points, delta_points = k_sample.points, delta_sample.points
+    target_on_k = values_on(target, k_points)
     f_derivs = [f]
     for _ in range(ell_max):
         f_derivs.append(f_derivs[-1].derivative())
+    f_derivs_on_delta = [fd(delta_points) for fd in f_derivs]
 
     def record_for(zeta: complex) -> CenterRecord:
         series = f.taylor_at(zeta, p + q)
@@ -328,17 +333,15 @@ def universality_certificate(
             )
         margin_k = common_zero_margin(approx, k_sample)
         margin_d = common_zero_margin(approx, delta_sample)
-        chordal_sup = max(
-            chordal(approx.eval_extended(z), target_eval(z)) for z in k_sample.points
+        chordal_sup = float(
+            np.max(chordal_array(evaluate_extended_array(approx, k_points), target_on_k))
         )
         deriv_sups = []
         a_ell = RationalFunction(approx.numerator, approx.denominator)
         for ell in range(ell_max + 1):
             if ell:
                 a_ell = a_ell.derivative()
-            deriv_sups.append(
-                max(abs(a_ell(z) - f_derivs[ell](z)) for z in delta_sample.points)
-            )
+            deriv_sups.append(_max_error(a_ell, delta_points, f_derivs_on_delta[ell]))
         return CenterRecord(
             complex(zeta),
             norm.determinant,
@@ -411,24 +414,25 @@ def universality_pipeline(
     (numerator degree, denominator degree), which the returned
     certificate verifies on the given samples.
 
-    ``smooth_target`` must expose ``__call__`` and ``derivative()``
-    (Polynomial and RationalFunction both do).  The perturbation size
-    starts at 1e-3 * tol / sup |z^T| over the working samples and is
-    halved (at most 40 times) until the certificate accepts.
+    ``smooth_target`` must evaluate arrays of points and expose
+    ``derivative()`` (Polynomial and RationalFunction both do).  The
+    perturbation size starts at 1e-3 * tol / sup |z^T| over the working
+    samples and is halved (at most 40 times) until the certificate
+    accepts.
     """
     mu = principal_parts(target, (k_region_center, k_region_radius))
 
     def k_target(z):
-        return complex(target(z)) - complex(mu(z))
+        return target(z) - mu(z)
 
     def l_value(z):
-        return complex(smooth_target(z)) - complex(mu(z))
+        return smooth_target(z) - mu(z)
 
     smooth_prime = smooth_target.derivative()
     mu_prime = mu.derivative()
 
     def l_derivative(z):
-        return complex(smooth_prime(z)) - complex(mu_prime(z))
+        return smooth_prime(z) - mu_prime(z)
 
     fitted, report = two_set_poly_fit(
         k_sample, k_target, centers, [l_value, l_derivative], max_degree, tol

@@ -24,6 +24,11 @@ defining order-matching property in the normal case.
 Floating point needs a scale-aware cutoff for "non-zero": the determinant
 counts as non-zero when ``|det| > NORMALITY_RTOL * max(1, s^q)`` with ``s``
 the largest coefficient magnitude in the Hankel window.
+
+An approximant is evaluated on whole arrays of sample points:
+:func:`common_zero_margin` and :func:`evaluate_extended_array` take the
+sample at once, with the same values bit for bit as a point-by-point loop;
+:func:`evaluate_extended` is the one-point wrapper.
 """
 
 from __future__ import annotations
@@ -41,11 +46,14 @@ from .errors import (
 )
 from .samples import CompactSample
 from .series import (
-    INFINITY,
     ExtendedComplex,
     Polynomial,
     PowerSeries,
+    array_quotient,
+    as_extended,
+    modulus,
     partial_sum,
+    square,
 )
 
 NORMALITY_RTOL = 1e-10
@@ -154,7 +162,9 @@ class PadeApproximant:
     def eval_extended(self, z: complex) -> ExtendedComplex:
         return evaluate_extended(self, z)
 
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z):
+        if isinstance(z, np.ndarray):
+            return array_quotient(self.numerator, self.denominator, z)
         return self.numerator(z) / self.denominator(z)
 
     def scale(self) -> float:
@@ -257,30 +267,43 @@ class CommonZeroMargin:
 
 
 def common_zero_margin(approx: PadeApproximant, sample: CompactSample) -> CommonZeroMargin:
-    """Check the determinant pair has no common zero on the sampled set."""
+    """Check the determinant pair has no common zero on the sampled set.
+
+    The minimum is taken at its first point in sample order.
+    """
     if len(sample) == 0:
         raise InvalidSampleError("empty sample")
-    best, arg = math.inf, sample.points[0]
-    for z in sample.points:
-        v = abs(approx.numerator(z)) ** 2 + abs(approx.denominator(z)) ** 2
-        if v < best:
-            best, arg = v, z
+    points = sample.points
+    values = square(modulus(approx.numerator(points))) + square(modulus(approx.denominator(points)))
+    i = int(np.argmin(values))
+    best = float(values[i])
     threshold = (COMMON_ZERO_RTOL * approx.scale()) ** 2
-    return CommonZeroMargin(float(best), threshold, complex(arg), bool(best > threshold))
+    return CommonZeroMargin(best, threshold, complex(points[i]), best > threshold)
+
+
+def evaluate_extended_array(approx: PadeApproximant, z: np.ndarray) -> np.ndarray:
+    """Values on the extended plane at every point of ``z``: A/B, or ``inf``
+    where only B vanishes.
+
+    Raises IndeterminateValueError, naming the first such point, when
+    numerator and denominator both vanish at a point (relative to their
+    coefficient scale).
+    """
+    degree = max(approx.numerator.degree, approx.denominator.degree, 0)
+    with np.errstate(over="ignore"):
+        growth = np.float_power(np.maximum(1.0, modulus(z - approx.center)), degree)
+    tol = EVAL_RTOL * approx.scale() * growth
+    a, b = approx.numerator(z), approx.denominator(z)
+    finite = modulus(b) > tol
+    indeterminate = ~(finite | (modulus(a) > tol))
+    if indeterminate.any():
+        bad = z[np.argmax(indeterminate)]
+        raise IndeterminateValueError(f"numerator and denominator both vanish at {bad}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(finite, a / b, math.inf)
 
 
 def evaluate_extended(approx: PadeApproximant, z: complex) -> ExtendedComplex:
-    """Value on the extended plane: A/B, or infinity where only B vanishes.
-
-    Raises IndeterminateValueError when numerator and denominator both
-    vanish at the point (relative to their coefficient scale).
-    """
-    tol = EVAL_RTOL * approx.scale() * max(1.0, abs(complex(z) - approx.center)) ** max(
-        approx.numerator.degree, approx.denominator.degree, 0
-    )
-    a, b = approx.numerator(z), approx.denominator(z)
-    if abs(b) > tol:
-        return ExtendedComplex(a / b)
-    if abs(a) > tol:
-        return INFINITY
-    raise IndeterminateValueError(f"numerator and denominator both vanish at {z}")
+    """Value on the extended plane at one point: A/B, or infinity where only B
+    vanishes; see :func:`evaluate_extended_array`."""
+    return as_extended(evaluate_extended_array(approx, np.array([complex(z)]))[0])

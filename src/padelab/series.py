@@ -17,6 +17,14 @@ All values are immutable after construction and safe to share across
 threads.  Working precision is ordinary binary floating point (~16
 significant digits).
 
+Evaluation takes a point or an ndarray of points.  A point runs the scalar
+Horner loop of ``Polynomial.__call__``; an ndarray runs one Horner kernel
+over the whole array, in real arithmetic, and gives the same values bit for
+bit.  ``PowerSeries``, ``RationalFunction`` and the Pade approximant call
+through it.  :func:`modulus` and :func:`square` are the array forms of the
+scalar ``abs(z)`` and ``x ** 2`` with the same rounding, and
+:func:`values_on` evaluates a callable or a constant on an array of points.
+
 Points of the extended plane are modelled by :class:`ExtendedComplex`; the
 single point at infinity is the module constant :data:`INFINITY`.
 """
@@ -65,6 +73,50 @@ def _trimmed(arr: np.ndarray) -> np.ndarray:
     if keep.size == 0:
         return np.zeros(1, dtype=complex)
     return arr[: keep[-1] + 1].copy()
+
+
+def _horner(coefficients: np.ndarray, center: complex, z: np.ndarray) -> np.ndarray:
+    """Horner evaluation of ``sum c_k (z - center)^k`` at every point of ``z``.
+
+    The complex product is written out in real and imaginary parts, in the
+    order of the scalar complex multiply, and the sum starts from zero as
+    in the scalar loop of ``Polynomial.__call__``.  NumPy's complex array
+    multiply may fuse or reorder that arithmetic, so the two agree bit for
+    bit only in this form.
+    """
+    w = z - center
+    wr, wi = w.real.copy(), w.imag.copy()
+    ar = np.zeros(w.shape)
+    ai = np.zeros(w.shape)
+    for cr, ci in zip(coefficients.real[::-1].tolist(), coefficients.imag[::-1].tolist()):
+        ar, ai = ar * wr - ai * wi + cr, ar * wi + ai * wr + ci
+    out = np.empty(w.shape, dtype=complex)
+    out.real, out.imag = ar, ai
+    return out
+
+
+def modulus(values: np.ndarray) -> np.ndarray:
+    """``abs`` of every entry of a complex array, as the scalar ``abs`` rounds it.
+
+    ``np.abs`` on complex arrays may differ from the scalar in the last bit;
+    ``np.hypot`` on the parts does not.
+    """
+    return np.hypot(values.real, values.imag)
+
+
+def square(x: np.ndarray) -> np.ndarray:
+    """``x ** 2`` of every entry, as the scalar power rounds it (``x * x`` may not)."""
+    return np.float_power(x, 2.0)
+
+
+def array_quotient(numerator: "Polynomial", denominator: "Polynomial", z: np.ndarray):
+    """``numerator(z) / denominator(z)`` at every point of an ndarray.
+
+    A zero denominator gives an infinite or NaN entry without a warning;
+    such an entry stands for the point at infinity.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return numerator(z) / denominator(z)
 
 
 class Polynomial:
@@ -143,8 +195,10 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __call__(self, z: complex) -> complex:
-        """Horner evaluation at a point."""
+    def __call__(self, z):
+        """Horner evaluation at a point, or at every point of an ndarray."""
+        if isinstance(z, np.ndarray):
+            return _horner(self.coefficients, self.center, z)
         w = complex(z) - self.center
         acc = 0j
         for c in self.coefficients[::-1]:
@@ -304,7 +358,9 @@ class RationalFunction:
     def center(self) -> complex:
         return self.numerator.center
 
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z):
+        if isinstance(z, np.ndarray):
+            return array_quotient(self.numerator, self.denominator, z)
         return self.numerator(z) / self.denominator(z)
 
     def derivative(self, order: int = 1) -> "RationalFunction":
@@ -535,3 +591,17 @@ def as_extended(value) -> ExtendedComplex:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         return INFINITY
     return ExtendedComplex(value)
+
+
+def values_on(f, points: np.ndarray) -> np.ndarray:
+    """Values of ``f`` at an array of points, as a complex array of the same shape.
+
+    A callable is called once, on the whole array; a scalar it returns is
+    broadcast.  A number, an array or an ExtendedComplex is taken as is;
+    INFINITY becomes ``inf``.  Non-finite entries stand for infinity.
+    """
+    if callable(f):
+        f = f(points)
+    if isinstance(f, ExtendedComplex):
+        f = math.inf if f.is_infinity else f.finite
+    return np.broadcast_to(np.asarray(f, dtype=complex), points.shape)

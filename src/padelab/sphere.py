@@ -4,41 +4,73 @@ The chordal distance of two finite points is
 ``|a - b| / (sqrt(1 + |a|^2) sqrt(1 + |b|^2))``; against infinity it is
 ``1 / sqrt(1 + |a|^2)``, and the distance of infinity from itself is 0.
 Values always lie in [0, 1] (the result is clamped at 1 to absorb the
-last-ulp rounding of antipodal pairs).
+last-ulp rounding of antipodal pairs).  Moduli too large to square in
+double precision (above about 1.34e154) take an overflow-safe form.
+
+One kernel, :func:`chordal_array`, evaluates the metric on whole arrays,
+with infinity written as any non-finite value; :func:`chordal` is its
+one-point wrapper.
 
 Sup distances over compact sets are evaluated on finite samples only, so
 they are certified lower bounds of the true sup; the sample mesh is
-attached to the result.
+attached to the result.  :func:`sup_chordal` calls each function once, on
+the whole array of sample points.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidSampleError, PrecisionTooCoarseError
 from .samples import CompactSample
 from .series import (
-    ExtendedComplex,
     Polynomial,
     RationalFunction,
-    as_extended,
+    modulus,
     rational_normalize,
+    square,
+    values_on,
 )
+
+
+def chordal_array(a, b) -> np.ndarray:
+    """Chordal distances between two arrays of points (broadcast together).
+
+    A non-finite entry, or one whose modulus overflows, is the point at
+    infinity.  Where ``|a|^2``, ``|b|^2`` or the product of the two roots
+    overflows, a root is taken as ``hypot(1, |a|)`` and the difference is
+    divided by the larger root before the smaller one; every other entry is
+    rounded as the plain formula reads, bit for bit as a scalar evaluation
+    would.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        abs_a, abs_b = modulus(a), modulus(b)
+        root_a, root_b = _root_one_plus_square(abs_a), _root_one_plus_square(abs_b)
+        diff = modulus(a - b)
+        den = root_a * root_b
+        safe = diff / np.maximum(root_a, root_b) / np.minimum(root_a, root_b)
+        value = np.minimum(np.where(np.isfinite(den), diff / den, safe), 1.0)
+        inf_a, inf_b = ~np.isfinite(abs_a), ~np.isfinite(abs_b)
+        value = np.where(inf_a, 1.0 / root_b, value)
+        value = np.where(inf_b, 1.0 / root_a, value)
+        return np.where(inf_a & inf_b, 0.0, value)
+
+
+def _root_one_plus_square(r: np.ndarray) -> np.ndarray:
+    """sqrt(1 + r^2), through hypot(1, r) where r^2 overflows."""
+    sq = square(r)
+    return np.where(np.isinf(sq), np.hypot(1.0, r), np.sqrt(1.0 + sq))
+
+
+_ONE_POINT = np.zeros(1, dtype=complex)
 
 
 def chordal(a, b) -> float:
     """Chordal distance between two points of the extended plane."""
-    ea, eb = as_extended(a), as_extended(b)
-    if ea.is_infinity and eb.is_infinity:
-        return 0.0
-    if ea.is_infinity:
-        return 1.0 / math.sqrt(1.0 + abs(eb.finite) ** 2)
-    if eb.is_infinity:
-        return 1.0 / math.sqrt(1.0 + abs(ea.finite) ** 2)
-    za, zb = ea.finite, eb.finite
-    value = abs(za - zb) / (math.sqrt(1.0 + abs(za) ** 2) * math.sqrt(1.0 + abs(zb) ** 2))
-    return min(value, 1.0)
+    return float(chordal_array(values_on(a, _ONE_POINT), values_on(b, _ONE_POINT))[0])
 
 
 @dataclass(frozen=True)
@@ -52,31 +84,18 @@ class SupChordal:
 
 
 def sup_chordal(f, g, sample: CompactSample) -> SupChordal:
-    """max over the sample of chordal(f(z), g(z)).
+    """max over the sample of chordal(f(z), g(z)), at its first maximizing point.
 
-    ``f`` and ``g`` are callables returning complex or ExtendedComplex
-    (a constant ExtendedComplex is also accepted).  Indeterminate
-    evaluations propagate as errors.
+    ``f`` and ``g`` are callables, each called once on the whole array of
+    sample points, or constants (a number or an ExtendedComplex); see
+    :func:`padelab.series.values_on`.  Indeterminate evaluations propagate
+    as errors.
     """
     if len(sample) == 0:
         raise InvalidSampleError("empty sample")
-    fe = _as_evaluator(f)
-    ge = _as_evaluator(g)
-    best, arg = -1.0, sample.points[0]
-    for z in sample.points:
-        d = chordal(fe(z), ge(z))
-        if d > best:
-            best, arg = d, z
-    return SupChordal(best, complex(arg), sample.mesh, sample.label)
-
-
-def _as_evaluator(obj):
-    if isinstance(obj, ExtendedComplex):
-        return lambda z: obj
-    if callable(obj):
-        return obj
-    value = as_extended(obj)
-    return lambda z: value
+    d = chordal_array(values_on(f, sample.points), values_on(g, sample.points))
+    i = int(np.argmax(d))
+    return SupChordal(float(d[i]), complex(sample.points[i]), sample.mesh, sample.label)
 
 
 def dyadic_round(value: complex, bits: int) -> complex:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 
@@ -49,6 +50,29 @@ class TestDispatch:
     def test_chordal_points(self, capsys):
         assert run(["chordal", "--a", "0", "--b", "inf"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["chordal"] == 1.0
+
+    def test_chordal_points_beyond_square_overflow(self, capsys):
+        # |a|^2 overflows a double above about 1.34e154
+        assert run(["chordal", "--a", "1e200", "--b", "0"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["chordal"] == 1.0
+
+    def test_pole_on_sample_point_prints_no_warning(self, capsys):
+        # 1/z has its pole on the centre point of the 3x3 grid; it reads as infinity
+        cases = [
+            (["chordal", "--f", "one-over-z", "--g", "one-over-z-minus-2",
+              "--sample", "disc-grid:0,0,1,3"],
+             '{"sup_chordal": 0.9990813533098185, "at": [0.7071067811865475, 0.0], '
+             '"mesh": 0.7071067811865475}\n'),
+            (["rationalize", "--rational", "one-over-z", "--sample", "disc-grid:0,0,1,3"],
+             "bits,sup_chordal,mesh\n"
+             + "".join(f"{b},0.0,0.7071067811865475\n" for b in (8, 16, 24, 32, 40))),
+        ]
+        for argv, want in cases:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run(argv) == EXIT_OK
+            assert [str(w.message) for w in caught] == []
+            assert capsys.readouterr() == (want, "")
 
     def test_divergence_csv_contract(self, tmp_path):
         out = tmp_path / "div.csv"

@@ -28,6 +28,14 @@ class TestChordal:
     def test_zero_to_one(self):
         assert abs(chordal(0.0, 1.0) - 1.0 / math.sqrt(2.0)) < 1e-15
 
+    def test_large_finite_values_do_not_overflow(self):
+        # |a|^2 overflows a double above about 1.34e154
+        assert abs(chordal(1e200, 0.0) - 1.0) < 1e-15
+        assert chordal(1e200, 1e200) == 0.0
+        assert abs(chordal(1e200, -1e200) - 2e-200) < 1e-15 * 2e-200
+        assert chordal(1e200, INFINITY) == 1e-200
+        assert chordal(1e300, 3e299j) == chordal(3e299j, 1e300)
+
     def test_symmetry_exact(self, rng):
         pts = complex_normal(rng, 50) * rng.exponential(5.0, 50)
         for a, b in zip(pts[:25], pts[25:]):
