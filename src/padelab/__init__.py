@@ -85,6 +85,7 @@ from .series import (
     PowerSeries,
     RationalFunction,
     as_extended,
+    derivative_values,
     partial_sum,
     polynomial_gcd,
     polynomial_resultant,

@@ -52,6 +52,7 @@ from .series import (
     Polynomial,
     PowerSeries,
     RationalFunction,
+    derivative_values,
     modulus,
     polynomial_divmod,
     polynomial_gcd,
@@ -299,16 +300,18 @@ def universality_certificate(
 ) -> UniversalityCertificate:
     """Certificate for membership in the two approximation sets.
 
-    ``f`` must expose ``taylor_at(center, order)`` and ``derivative(order)``
-    and evaluate arrays of points (a RationalFunction does); ``target`` is
-    evaluated once on the array of K points (see
+    ``f`` must expose ``taylor_at(center, order)`` and its ``numerator``
+    and ``denominator`` polynomials (a RationalFunction does); ``target``
+    is evaluated once on the array of K points (see
     :func:`padelab.series.values_on`) and compared through the chordal
     metric.  At every center the (p, q) approximant is built from the
     local Taylor series; sups over K and the derivative sample are
     per-center maxima over whole sample arrays.
-    Derivative errors compare exact rational derivatives of the
-    approximant against f's derivatives for orders 0..max_derivative_order
-    (default s).
+    Derivative errors compare the approximant's derivatives against f's
+    for orders 0..max_derivative_order (default s).  Both are evaluated on
+    the derivative sample by :func:`padelab.series.derivative_values`,
+    from the approximant's numerator and denominator as built; f's once
+    per certificate.
 
     Centers are processed one after another in sample order, so the
     certificate is deterministic.
@@ -316,10 +319,7 @@ def universality_certificate(
     ell_max = s if max_derivative_order is None else max_derivative_order
     k_points, delta_points = k_sample.points, delta_sample.points
     target_on_k = values_on(target, k_points)
-    f_derivs = [f]
-    for _ in range(ell_max):
-        f_derivs.append(f_derivs[-1].derivative())
-    f_derivs_on_delta = [fd(delta_points) for fd in f_derivs]
+    f_derivs_on_delta = derivative_values(f.numerator, f.denominator, delta_points, ell_max)
 
     def record_for(zeta: complex) -> CenterRecord:
         series = f.taylor_at(zeta, p + q)
@@ -336,12 +336,10 @@ def universality_certificate(
         chordal_sup = float(
             np.max(chordal_array(evaluate_extended_array(approx, k_points), target_on_k))
         )
-        deriv_sups = []
-        a_ell = RationalFunction(approx.numerator, approx.denominator)
-        for ell in range(ell_max + 1):
-            if ell:
-                a_ell = a_ell.derivative()
-            deriv_sups.append(_max_error(a_ell, delta_points, f_derivs_on_delta[ell]))
+        approx_derivs = derivative_values(approx.numerator, approx.denominator, delta_points, ell_max)
+        deriv_sups = [
+            np.max(modulus(a - fd)) for a, fd in zip(approx_derivs, f_derivs_on_delta)
+        ]
         return CenterRecord(
             complex(zeta),
             norm.determinant,

@@ -22,8 +22,10 @@ Horner loop of ``Polynomial.__call__``; an ndarray runs one Horner kernel
 over the whole array, in real arithmetic, and gives the same values bit for
 bit.  ``PowerSeries``, ``RationalFunction`` and the Pade approximant call
 through it.  :func:`modulus` and :func:`square` are the array forms of the
-scalar ``abs(z)`` and ``x ** 2`` with the same rounding, and
-:func:`values_on` evaluates a callable or a constant on an array of points.
+scalar ``abs(z)`` and ``x ** 2`` with the same rounding,
+:func:`values_on` evaluates a callable or a constant on an array of points,
+and :func:`derivative_values` gives the derivatives of a quotient of
+polynomials on an array by the Leibniz rule, without forming them.
 
 Points of the extended plane are modelled by :class:`ExtendedComplex`; the
 single point at infinity is the module constant :data:`INFINITY`.
@@ -95,6 +97,15 @@ def _horner(coefficients: np.ndarray, center: complex, z: np.ndarray) -> np.ndar
     return out
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` entry by entry, rounded as the scalar complex multiply (see
+    :func:`_horner`)."""
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def modulus(values: np.ndarray) -> np.ndarray:
     """``abs`` of every entry of a complex array, as the scalar ``abs`` rounds it.
 
@@ -117,6 +128,37 @@ def array_quotient(numerator: "Polynomial", denominator: "Polynomial", z: np.nda
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         return numerator(z) / denominator(z)
+
+
+def derivative_values(
+    numerator: "Polynomial", denominator: "Polynomial", z: np.ndarray, order: int
+) -> list[np.ndarray]:
+    """``[R(z), R'(z), ..., R^(order)(z)]`` for ``R = numerator / denominator``.
+
+    Differentiating ``D R = N`` by the Leibniz rule gives
+
+        R^(l) = (N^(l) - sum_{k=1..l} C(l, k) D^(k) R^(l-k)) / D,
+
+    so every order costs a few array products and one division, from the
+    values of the polynomial derivatives alone: no quotient-rule rational is
+    formed and no gcd is run.  The products are taken in real arithmetic
+    (:func:`_product`), so every value equals the scalar recurrence at that
+    point bit for bit, up to the sign of a zero; order 0 is
+    :func:`array_quotient`.  Like it, a zero denominator gives non-finite
+    entries without a warning.
+    """
+    num_derivs = [numerator.derivative(k)(z) for k in range(order + 1)]
+    # D^(k) vanishes for k > deg D, so those terms are left out of the sum
+    top = min(order, max(denominator.degree, 0))
+    den_derivs = [denominator.derivative(k)(z) for k in range(top + 1)]
+    values = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for ell in range(order + 1):
+            acc = num_derivs[ell]
+            for k in range(1, min(ell, top) + 1):
+                acc = acc - _product(math.comb(ell, k) * den_derivs[k], values[ell - k])
+            values.append(acc / den_derivs[0])
+    return values
 
 
 class Polynomial:

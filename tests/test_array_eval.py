@@ -3,7 +3,9 @@
 Each reference below is the per-point loop the package ran before it
 evaluated whole sample arrays: the scalar Horner loop of
 ``Polynomial.__call__`` and the scalar formulas of the chordal metric, the
-common-zero margin, the extended-plane evaluation and the certificate.
+common-zero margin, the extended-plane evaluation and the certificate,
+whose derivative values run the Leibniz recurrence of
+``series.derivative_values`` one point at a time in scalar arithmetic.
 Results are compared by their bits, so a changed last bit or sign of zero
 fails.
 """
@@ -25,6 +27,7 @@ from padelab import (
     chordal_array,
     circle_sample,
     common_zero_margin,
+    derivative_values,
     disc_grid_sample,
     evaluate_extended,
     evaluate_extended_array,
@@ -103,10 +106,21 @@ def evaluate_extended_loop(approx, z) -> ExtendedComplex:
     raise IndeterminateValueError(f"numerator and denominator both vanish at {z}")
 
 
+def derivative_values_loop(num, den, z, order):
+    """R(z), R'(z), ..., R^(order)(z) at one point, by the Leibniz rule on D R = N."""
+    n = [num.derivative(k)(z) for k in range(order + 1)]
+    d = [den.derivative(k)(z) for k in range(order + 1)]
+    values = []
+    for ell in range(order + 1):
+        acc = n[ell]
+        for k in range(1, ell + 1):
+            acc -= math.comb(ell, k) * d[k] * values[ell - k]
+        values.append(acc / d[0])
+    return values
+
+
 def certificate_records_loop(f, centers, k_sample, delta_sample, target, p, q, ell_max):
-    f_derivs = [f]
-    for _ in range(ell_max):
-        f_derivs.append(f_derivs[-1].derivative())
+    f_derivs = [derivative_values_loop(f.numerator, f.denominator, z, ell_max) for z in delta_sample.points]
     records = []
     for zeta in centers.points:
         series = f.taylor_at(zeta, p + q)
@@ -118,12 +132,13 @@ def certificate_records_loop(f, centers, k_sample, delta_sample, target, p, q, e
         chordal_sup = max(
             chordal_loop(evaluate_extended_loop(approx, z), target(z)) for z in k_sample.points
         )
-        deriv_sups = []
-        a_ell = RationalFunction(approx.numerator, approx.denominator)
-        for ell in range(ell_max + 1):
-            if ell:
-                a_ell = a_ell.derivative()
-            deriv_sups.append(max(abs(a_ell(z) - f_derivs[ell](z)) for z in delta_sample.points))
+        a_derivs = [
+            derivative_values_loop(approx.numerator, approx.denominator, z, ell_max)
+            for z in delta_sample.points
+        ]
+        deriv_sups = [
+            max(abs(a[ell] - fd[ell]) for a, fd in zip(a_derivs, f_derivs)) for ell in range(ell_max + 1)
+        ]
         records.append(CenterRecord(
             complex(zeta), norm.determinant, norm.is_normal,
             margin_k if margin_k > threshold else 0.0,
@@ -161,6 +176,17 @@ class TestHornerKernel:
             points = center + 2.0 * complex_normal(rng, 57)
             for f in (r, approx):
                 assert_same_bits(f(points), np.array([f(complex(z)) for z in points]))
+
+
+    def test_derivative_values_match_scalar_recurrence(self, rng):
+        for _ in range(30):
+            center = random_center(rng)
+            num = Polynomial(random_coefficients(rng, int(rng.integers(0, 13))), center)
+            den = Polynomial(random_coefficients(rng, int(rng.integers(0, 5))), center)
+            order = int(rng.integers(0, 7))
+            points = center + 2.0 * complex_normal(rng, 57)
+            want = np.array([derivative_values_loop(num, den, complex(z), order) for z in points]).T.copy()
+            assert_same_bits(np.array(derivative_values(num, den, points, order)), want)
 
 
 # --- chordal metric and its sampled sup ---------------------------------------------------

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 
+from padelab import construct
 from padelab.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -189,3 +190,25 @@ class TestUniversalityCommand:
         lines = csv_out.read_text().strip().split("\n")
         assert lines[0].startswith("center,hankel_abs,normal")
         assert len(lines) == 1 + 81
+
+    def test_default_run_accepts_at_first_perturbation(self, tmp_path, monkeypatch):
+        calls = []
+        certificate = construct.universality_certificate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return certificate(*args, **kwargs)
+
+        monkeypatch.setattr(construct, "universality_certificate", counting)
+        out = tmp_path / "cert.json"
+        assert run(["universality", "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 1
+        sups = json.loads(out.read_text())["sup_derivative_errors_on_Delta"]
+        assert len(sups) == 4 and all(e < 1e-6 for e in sups)
+
+    def test_derivative_orders_through_six(self, tmp_path):
+        out = tmp_path / "cert.json"
+        assert run(["universality", "--ell-max", "6", "--out", str(out)]) == EXIT_OK
+        cert = json.loads(out.read_text())
+        assert len(cert["sup_derivative_errors_on_Delta"]) == 7
+        assert cert["e_set_member"] is True and cert["t_set_member"] is True

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from padelab import (
     PowerSeries,
     RationalFunction,
     as_extended,
+    derivative_values,
     partial_sum,
     polynomial_gcd,
     polynomial_resultant,
@@ -117,6 +121,52 @@ class TestRationalNormalize:
         assert abs(res) < 1e-10
         res2 = polynomial_resultant(poly(1, 1), poly(2, 1))
         assert abs(res2) > 0.5
+
+
+class TestDerivativeValues:
+    def test_pole_powers_closed_form(self, rng):
+        # d^l/dz^l c (z-a)^-m = c (-1)^l (m+l-1)!/(m-1)! (z-a)^-(m+l)
+        for _ in range(20):
+            a = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
+            c = complex_normal(rng, 1)[0]
+            z = a + rng.uniform(0.5, 3.0, 50) * np.exp(2j * np.pi * rng.uniform(size=50))
+            for m in (1, 2, 3):
+                monomial_basis = Polynomial([1.0])
+                for _ in range(m):
+                    monomial_basis = monomial_basis * poly(-a, 1)
+                for den in (monomial_basis, Polynomial.monomial(m, 1.0, a)):
+                    f = RationalFunction(Polynomial([c], den.center), den)
+                    values = derivative_values(f.numerator, f.denominator, z, 6)
+                    assert len(values) == 7
+                    for ell, got in enumerate(values):
+                        rising = math.factorial(m + ell - 1) / math.factorial(m - 1)
+                        want = c * (-1) ** ell * rising / (z - a) ** (m + ell)
+                        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+    def test_order_zero_is_evaluation(self, rng):
+        for _ in range(20):
+            f = RationalFunction(Polynomial(complex_normal(rng, 5)), Polynomial(complex_normal(rng, 4)))
+            z = 2.0 * complex_normal(rng, 40)
+            (got,) = derivative_values(f.numerator, f.denominator, z, 0)
+            assert np.array_equal(got.view(np.uint64), f(z).view(np.uint64))
+
+    def test_matches_taylor_coefficients(self, rng):
+        # R^(l)(z0) = l! a_l for the Taylor coefficients a_l of R at z0
+        factorials = np.array([math.factorial(k) for k in range(5)])
+        for _ in range(10):
+            f = RationalFunction(Polynomial(complex_normal(rng, 6)), Polynomial(complex_normal(rng, 3)))
+            z = 0.5 * complex_normal(rng, 30)
+            want = np.array([taylor_of_rational(f, w, 4).coefficients * factorials for w in z]).T
+            got = np.array(derivative_values(f.numerator, f.denominator, z, 4))
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+    def test_pole_on_a_point_warns_nothing(self):
+        f = RationalFunction(poly(1), poly(-1, 1))  # 1/(z - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = derivative_values(f.numerator, f.denominator, np.array([1.0 + 0j, 0j]), 3)
+        assert [bool(np.isfinite(v[0])) for v in values] == [False] * 4
+        assert [complex(v[1]) for v in values] == [-1, -1, -2, -6]
 
 
 class TestTaylorOfRational:

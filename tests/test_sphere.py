@@ -8,6 +8,7 @@ from padelab import (
     Polynomial,
     RationalFunction,
     chordal,
+    chordal_array,
     circle_sample,
     dyadic_round,
     rationalize_coefficients,
@@ -47,10 +48,14 @@ class TestChordal:
             assert chordal(a, b) <= abs(a - b) + 1e-15
 
     def test_triangle_inequality_with_infinity(self, rng):
-        points = list(complex_normal(rng, 30) * 3.0) + [INFINITY]
-        for a in points:
-            for b in points:
-                for c in points:
+        points = np.append(complex_normal(rng, 30) * 3.0, np.inf)  # inf is the point at infinity
+        d = chordal_array(points[:, None], points[None, :])
+        # d[a, c] <= d[a, b] + d[b, c] over all 31^3 triples (a, b, c)
+        assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-12)
+        spot = list(points[:4]) + [INFINITY]
+        for a in spot:
+            for b in spot:
+                for c in spot:
                     assert chordal(a, c) <= chordal(a, b) + chordal(b, c) + 1e-12
 
     def test_moebius_inversion_symmetry(self, rng):
