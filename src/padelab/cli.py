@@ -7,6 +7,10 @@ shortest round-trip repr).
 
 Exit codes: 0 success, 2 precondition error, 3 numeric failure, 64 usage.
 
+The argument parser is built once per process, on the first main() call,
+and reused by every later call; nothing in it is mutated by parsing, and
+usage text is formatted when it is printed.
+
 A JSON config file (--config) may define named objects referenced by
 flags: rational functions under "rationals" (numerator/denominator
 coefficient arrays of [re, im] pairs), domains under "domains" and
@@ -20,6 +24,7 @@ exits with code 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -463,8 +468,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on the first main() call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):

@@ -323,12 +323,11 @@ def universality_certificate(
 
     def record_for(zeta: complex) -> CenterRecord:
         series = f.taylor_at(zeta, p + q)
-        norm = normality(series, p, q)
         try:
             approx = pade_construct(series, p, q)
         except DegeneratePadeError:
             return CenterRecord(
-                complex(zeta), norm.determinant, False, 0.0, 0.0, math.inf,
+                complex(zeta), normality(series, p, q).determinant, False, 0.0, 0.0, math.inf,
                 tuple([math.inf] * (ell_max + 1)),
             )
         margin_k = common_zero_margin(approx, k_sample)
@@ -342,8 +341,8 @@ def universality_certificate(
         ]
         return CenterRecord(
             complex(zeta),
-            norm.determinant,
-            norm.is_normal,
+            approx.hankel_value,
+            approx.normal,
             margin_k.min_value if margin_k.clear else 0.0,
             margin_d.min_value if margin_d.clear else 0.0,
             chordal_sup,
@@ -722,18 +721,15 @@ def volterra_apply(f: PowerSeries, g: PowerSeries) -> PowerSeries:
         c_{m+1} = ( sum_{k=0}^{m} a_k (m-k+1) g_{m-k+1} ) / (m+1)
 
     for m up to the joint truncation; the map is linear in f and in g.
+    The sums are one convolution of (a_k) with ((k+1) g_{k+1}).
     """
     if f.center != 0 or g.center != 0:
         raise PreconditionError("both series must be centered at 0")
     if f.truncation_order < 1 or g.truncation_order < 1:
         raise PreconditionError("need truncation orders >= 1")
     m_max = min(f.truncation_order, g.truncation_order - 1)
-    sums = np.zeros(m_max + 1, dtype=complex)
-    for m in range(m_max + 1):
-        acc = 0j
-        for k in range(m + 1):
-            acc += f.coefficient(k) * (m - k + 1) * g.coefficient(m - k + 1)
-        sums[m] = acc
+    g_prime = np.arange(1, m_max + 2) * g.coefficients[1 : m_max + 2]
+    sums = np.convolve(f.coefficients[: m_max + 1], g_prime)[: m_max + 1]
     out = np.zeros(m_max + 2, dtype=complex)
     # same array division as the polynomial antiderivative, so T_z(f) and
     # the anchored antiderivative agree to the last bit

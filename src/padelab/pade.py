@@ -9,17 +9,19 @@ q >= 1 it exists and is unique exactly when the q x q Hankel determinant
     det [ a_{p-q+i+j-1} ]_{i,j=1..q}        (a_n := 0 for n < 0)
 
 is non-zero ("normality").  The construction used here expands the classical
-determinant formula along its first row: the q numeric cofactors are
+determinant formula along its first row: the q+1 numeric cofactors are
 computed by LU factorization and combined with the polynomial first-row
 entries
 
     numerator   first row:  (w^q S_{p-q}(w), w^{q-1} S_{p-q+1}(w), ..., S_p(w))
     denominator first row:  (w^q,            w^{q-1},              ..., 1)
 
-with ``w = z - zeta`` and S_k the partial sums.  Both determinant
-polynomials are returned even when the normality test fails (flagged
-``normal=False``) so degenerate cases can be probed; they only carry the
-defining order-matching property in the normal case.
+with ``w = z - zeta`` and S_k the partial sums.  The minor of the last
+column is the Hankel determinant itself, so the construction takes its
+normality witness from that LU rather than factoring H again.  Both
+determinant polynomials are returned even when the normality test fails
+(flagged ``normal=False``) so degenerate cases can be probed; they only
+carry the defining order-matching property in the normal case.
 
 Floating point needs a scale-aware cutoff for "non-zero": the determinant
 counts as non-zero when ``|det| > NORMALITY_RTOL * max(1, s^q)`` with ``s``
@@ -92,12 +94,16 @@ def _lu_determinant(matrix: np.ndarray):
     return det
 
 
-def _window_scale(series: PowerSeries, p: int, q: int) -> float:
-    """max(1, s^q) with s the largest |a_i| over the Hankel window."""
-    lo, hi = p - q + 1, p + q - 1
-    mags = [abs(series.coefficient(i)) for i in range(max(lo, 0), hi + 1)]
-    s = max(mags, default=0.0)
-    return max(1.0, s**q)
+def _coefficient_block(series: PowerSeries, p: int, q: int, columns: int) -> np.ndarray:
+    """Rows i = 1..q of (a_{p-q+i}, ..., a_{p-q+i+columns-1}), a_n := 0 for n < 0.
+
+    One slice of the coefficient array, indexed as a Hankel matrix; the
+    caller has checked that the series reaches a_{p+columns-1}.
+    """
+    lo = p - q + 1
+    head = series.coefficients[max(lo, 0) : lo + q + columns - 1]
+    window = np.concatenate([np.zeros(max(-lo, 0), dtype=complex), head])
+    return window[np.arange(q)[:, None] + np.arange(columns)]
 
 
 def hankel_determinant(series: PowerSeries, p: int, q: int) -> complex:
@@ -115,11 +121,7 @@ def hankel_determinant(series: PowerSeries, p: int, q: int) -> complex:
             f"Hankel({p},{q}) needs coefficients through {p + q - 1}, "
             f"series truncated at {series.truncation_order}"
         )
-    mat = np.zeros((q, q), dtype=complex)
-    for i in range(1, q + 1):
-        for j in range(q):
-            mat[i - 1, j] = series.coefficient(p - q + i + j)
-    return complex(_lu_determinant(mat))
+    return complex(_lu_determinant(_coefficient_block(series, p, q, q)))
 
 
 @dataclass(frozen=True)
@@ -134,11 +136,21 @@ class NormalityResult:
         return self.is_normal
 
 
+def _normality_of(series: PowerSeries, p: int, q: int, det: complex) -> NormalityResult:
+    """The normality verdict on a (p, q) Hankel value ``det``.
+
+    Normal when ``|det| > NORMALITY_RTOL * max(1, s^q)``, with s the
+    largest |a_i| over the Hankel window.
+    """
+    mags = modulus(series.coefficients[max(p - q + 1, 0) : p + q])
+    s = float(mags.max(initial=0.0))
+    threshold = NORMALITY_RTOL * max(1.0, s**q)
+    return NormalityResult(bool(abs(det) > threshold), det, threshold)
+
+
 def normality(series: PowerSeries, p: int, q: int) -> NormalityResult:
     """Scale-aware test that the (p, q) Hankel determinant is non-zero."""
-    det = hankel_determinant(series, p, q)
-    threshold = NORMALITY_RTOL * _window_scale(series, p, q)
-    return NormalityResult(bool(abs(det) > threshold), det, threshold)
+    return _normality_of(series, p, q, hankel_determinant(series, p, q))
 
 
 @dataclass(frozen=True)
@@ -223,14 +235,11 @@ def pade_construct(series: PowerSeries, p: int, q: int) -> PadeApproximant:
             p, 0, center, partial_sum(series, p), Polynomial([1.0], center), 1.0 + 0j, True
         )
 
-    norm = normality(series, p, q)
-
     # Coefficient rows i = 1..q are (a_{p-q+i}, ..., a_{p+i}); the cofactor
     # of first-row column j removes column j from this q x (q+1) block.
-    block = np.zeros((q, q + 1), dtype=complex)
-    for i in range(1, q + 1):
-        for j in range(q + 1):
-            block[i - 1, j] = series.coefficient(p - q + i + j)
+    # Without its last column the block is the Hankel matrix.
+    block = _coefficient_block(series, p, q, q + 1)
+    minors = [_lu_determinant(np.delete(block, j, axis=1)) for j in range(q + 1)]
 
     # Accumulate numerator = sum_j c_j w^{q-j} S_{p-q+j} and denominator
     # = sum_j c_j w^{q-j} in extended precision; every term has degree <= p
@@ -238,8 +247,8 @@ def pade_construct(series: PowerSeries, p: int, q: int) -> PadeApproximant:
     num_acc = np.zeros(p + 1, dtype=_CLONG)
     den_acc = np.zeros(q + 1, dtype=_CLONG)
     coeffs_ext = series.coefficients.astype(_CLONG)
-    for j in range(q + 1):
-        cofactor = (-1.0) ** j * _lu_determinant(np.delete(block, j, axis=1))
+    for j, minor in enumerate(minors):
+        cofactor = (-1.0) ** j * minor
         if cofactor == 0:
             continue
         den_acc[q - j] += cofactor
@@ -250,6 +259,7 @@ def pade_construct(series: PowerSeries, p: int, q: int) -> PadeApproximant:
     den = Polynomial(den_acc.astype(complex), center)
     if num.is_zero and den.is_zero:
         raise DegeneratePadeError(f"all ({p},{q}) determinant polynomials vanish")
+    norm = _normality_of(series, p, q, complex(minors[q]))
     return PadeApproximant(p, q, center, num, den, norm.determinant, norm.is_normal)
 
 

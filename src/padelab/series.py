@@ -583,7 +583,11 @@ def series_builtin(name: str, center: complex = 0.0, order: int = 10) -> PowerSe
     n = np.arange(order + 1)
     if name == "exp":
         coeffs = np.full(order + 1, cmath.exp(center), dtype=complex)
-        coeffs /= np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
+        # float(k!) overflows above k = 170; from there on divide step by step
+        head = min(order, 170)
+        coeffs[: head + 1] /= np.array([math.factorial(k) for k in range(head + 1)], dtype=float)
+        for k in range(head + 1, order + 1):
+            coeffs[k] = coeffs[k - 1] / k
         return PowerSeries(coeffs, center)
     if name == "log1m":
         if center == 1.0:

@@ -6,6 +6,8 @@ evaluated whole sample arrays: the scalar Horner loop of
 common-zero margin, the extended-plane evaluation and the certificate,
 whose derivative values run the Leibniz recurrence of
 ``series.derivative_values`` one point at a time in scalar arithmetic.
+The Hankel and cofactor blocks of the Pade construction, sliced from the
+coefficient array, are compared with the per-entry loop that filled them.
 Results are compared by their bits, so a changed last bit or sign of zero
 fails.
 """
@@ -40,7 +42,13 @@ from padelab import (
 )
 from padelab.construct import CenterRecord
 from padelab.errors import IndeterminateValueError
-from padelab.pade import COMMON_ZERO_RTOL, EVAL_RTOL
+from padelab.pade import (
+    COMMON_ZERO_RTOL,
+    EVAL_RTOL,
+    NORMALITY_RTOL,
+    _coefficient_block,
+    _lu_determinant,
+)
 
 from conftest import complex_normal
 
@@ -117,6 +125,20 @@ def derivative_values_loop(num, den, z, order):
             acc -= math.comb(ell, k) * d[k] * values[ell - k]
         values.append(acc / d[0])
     return values
+
+
+def coefficient_block_loop(series, p, q, columns):
+    """Rows i = 1..q of (a_{p-q+i}, ..., a_{p-q+i+columns-1}), one entry at a time."""
+    block = np.zeros((q, columns), dtype=complex)
+    for i in range(1, q + 1):
+        for j in range(columns):
+            block[i - 1, j] = series.coefficient(p - q + i + j)
+    return block
+
+
+def normality_threshold_loop(series, p, q):
+    mags = [abs(series.coefficient(i)) for i in range(max(p - q + 1, 0), p + q)]
+    return NORMALITY_RTOL * max(1.0, max(mags, default=0.0) ** q)
 
 
 def certificate_records_loop(f, centers, k_sample, delta_sample, target, p, q, ell_max):
@@ -268,6 +290,37 @@ class TestPadeArrays:
         approx = PadeApproximant(1, 1, 0.0, Polynomial([0, 1]), Polynomial([0, 1]), 1.0, False)
         with pytest.raises(IndeterminateValueError, match=r"vanish at 0j"):
             evaluate_extended_array(approx, np.array([0.5 + 0j, 0j, 0.25 + 0j]))
+
+
+# --- Pade coefficient windows -----------------------------------------------------------------
+
+
+class TestCoefficientWindows:
+    # (0, 3), (1, 4) and (2, 5) reach back to a_{-2}: their windows start with zeros
+    ORDERS = [(0, 1), (1, 1), (0, 3), (1, 4), (2, 5), (3, 3), (5, 2), (9, 4), (12, 12)]
+
+    def test_blocks_match_entry_loop(self, rng):
+        for p, q in self.ORDERS:
+            series = PowerSeries(random_coefficients(rng, p + q), random_center(rng))
+            for columns in (q, q + 1):
+                assert_same_bits(_coefficient_block(series, p, q, columns),
+                                 coefficient_block_loop(series, p, q, columns))
+
+    def test_normality_matches_entry_loop(self, rng):
+        for p, q in self.ORDERS + [(4, 0)]:
+            series = PowerSeries(random_coefficients(rng, p + q), random_center(rng))
+            norm = normality(series, p, q)
+            assert norm.threshold == normality_threshold_loop(series, p, q)
+            if q:
+                want = complex(_lu_determinant(coefficient_block_loop(series, p, q, q)))
+                assert_same_bits(np.array([norm.determinant]), np.array([want]))
+
+    def test_construct_takes_normality_from_its_cofactors(self, rng):
+        for p, q in self.ORDERS + [(4, 0)]:
+            series = PowerSeries(random_coefficients(rng, p + q), random_center(rng))
+            approx, norm = pade_construct(series, p, q), normality(series, p, q)
+            assert_same_bits(np.array([approx.hankel_value]), np.array([norm.determinant]))
+            assert approx.normal is norm.is_normal
 
 
 # --- fit and certificate -------------------------------------------------------------------

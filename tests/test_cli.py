@@ -3,8 +3,9 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 
-from padelab import construct
+from padelab import cli, construct
 from padelab.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -119,6 +120,74 @@ class TestDispatch:
         # cascade with an impossibly tight eps trips the bound check
         assert run(["cascade", "--n", "3", "--pn-degree", "12",
                     "--eps", "1e-30", "--out", str(tmp_path / "c.csv")]) == EXIT_NUMERIC
+
+
+class TestExpBeyondFloatFactorials:
+    # float(k!) overflows from k = 171 on
+    def test_volterra_order_171(self, tmp_path):
+        out = tmp_path / "volt.json"
+        assert run(["volterra", "--order", "171", "--out", str(out)]) == EXIT_OK
+        coeffs = [complex(re, im) for re, im in json.loads(out.read_text())["coefficients"]]
+        assert len(coeffs) == 172 and abs(coeffs[1] - 1.0) < 1e-14
+
+    def test_large_pade_is_a_numeric_failure(self, capsys):
+        assert run(["pade", "--builtin", "exp", "--p", "100", "--q", "80"]) == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("numeric failure: ")
+
+
+class TestParserReuse:
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_built_once_across_calls(self, monkeypatch, capsys):
+        builds = []
+        build = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        assert run(["chordal", "--a", "0", "--b", "inf"]) == EXIT_OK
+        assert run(["no-such-command"]) == EXIT_USAGE
+        assert run(["volterra", "--order", "4"]) == EXIT_OK
+        assert len(builds) == 1
+
+    def test_usage_error_then_valid_call_match_fresh_parser(self, capsys):
+        argvs = [
+            ["pade", "--builtin", "exp", "--p", "2"],
+            ["pade", "--builtin", "exp", "--p", "2", "--q", "2"],
+            ["no-such-command"],
+            ["rationalize", "--bits"],
+            ["chordal", "--a", "0", "--b", "inf"],
+            [],
+        ]
+
+        def outputs(fresh):
+            got = []
+            for argv in argvs:
+                if fresh:
+                    cli._parser.cache_clear()
+                code = run(argv)
+                captured = capsys.readouterr()
+                got.append((code, captured.out, captured.err))
+            return got
+
+        shared = outputs(fresh=False)
+        assert [code for code, _, _ in shared] == [
+            EXIT_USAGE, EXIT_OK, EXIT_USAGE, EXIT_USAGE, EXIT_OK, EXIT_USAGE]
+        assert shared == outputs(fresh=True)
+
+    def test_default_bits_never_mutated(self, tmp_path):
+        out = tmp_path / "rat.csv"
+        for bits in ([], ["--bits", "4"], []):
+            argv = ["rationalize", "--sample", "circle:0,0,1,8", *bits, "--out", str(out)]
+            assert run(argv) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1 + 5
+        assert cli._parser().parse_args(["rationalize"]).bits == [8, 16, 24, 32, 40]
 
 
 class TestDeterminism:

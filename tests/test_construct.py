@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -301,6 +302,26 @@ class TestVolterra:
     def test_mismatched_centers_rejected(self):
         with pytest.raises(PreconditionError):
             volterra_apply(PowerSeries([1.0, 1.0], 0.5), PowerSeries([0.0, 1.0]))
+
+    def test_matches_exact_sums(self, rng):
+        # c_{m+1} = sum_k a_k (m-k+1) g_{m-k+1} / (m+1), summed exactly in
+        # rationals from the same doubles; a dot product of m+1 terms, one
+        # product rounding and the division stay within (m+3) eps of the
+        # sum of the terms' moduli
+        for f_order, g_order in ((1, 1), (7, 3), (40, 41), (150, 120), (200, 200)):
+            a = rng.standard_normal(f_order + 1) * 10.0 ** rng.uniform(-3.0, 3.0, f_order + 1)
+            g = rng.standard_normal(g_order + 1) * 10.0 ** rng.uniform(-3.0, 3.0, g_order + 1)
+            got = volterra_apply(PowerSeries(a), PowerSeries(g)).coefficients
+            m_max = min(f_order, g_order - 1)
+            assert len(got) == m_max + 2 and got[0] == 0
+            assert not got.imag.any()
+            exact_a = [Fraction(x) for x in a]
+            exact_g = [Fraction(x) for x in g]
+            for m in range(m_max + 1):
+                terms = [exact_a[k] * (m - k + 1) * exact_g[m - k + 1] for k in range(m + 1)]
+                want = sum(terms) / (m + 1)
+                scale = float(sum(abs(t) for t in terms)) / (m + 1)
+                assert abs(got[m + 1].real - float(want)) <= (m + 3) * 2.0**-52 * scale
 
     def test_quadrature_cross_check(self, rng):
         decay = 0.6 ** np.arange(20)

@@ -232,6 +232,15 @@ class TestSeriesBuiltin:
         s = series_builtin("exp", 0.0, 4)
         assert np.allclose(s.coefficients, [1, 1, 1 / 2, 1 / 6, 1 / 24])
 
+    def test_exp_beyond_float_factorials(self):
+        # float(k!) overflows from k = 171 on; the coefficients below keep their bits
+        for center in (0.0, 2.0 - 1.0j):
+            short = series_builtin("exp", center, 170).coefficients
+            long = series_builtin("exp", center, 200).coefficients
+            assert np.array_equal(long[:171].view(np.uint64), short.view(np.uint64))
+            for k in range(171, 201):
+                assert long[k] == long[k - 1] / k
+
     def test_log1m_coefficients(self):
         s = series_builtin("log1m", 0.0, 3)
         assert np.allclose(s.coefficients, [0, -1, -1 / 2, -1 / 3])
