@@ -332,8 +332,11 @@ def universality_certificate(
             )
         margin_k = common_zero_margin(approx, k_sample)
         margin_d = common_zero_margin(approx, delta_sample)
-        chordal_sup = float(
-            np.max(chordal_array(evaluate_extended_array(approx, k_points), target_on_k))
+        # evaluation raises exactly where the K margin is not clear; record a rejecting sup
+        chordal_sup = (
+            float(np.max(chordal_array(evaluate_extended_array(approx, k_points), target_on_k)))
+            if margin_k.clear
+            else math.inf
         )
         approx_derivs = derivative_values(approx.numerator, approx.denominator, delta_points, ell_max)
         deriv_sups = [
@@ -413,9 +416,9 @@ def universality_pipeline(
 
     ``smooth_target`` must evaluate arrays of points and expose
     ``derivative()`` (Polynomial and RationalFunction both do).  The
-    perturbation size starts at 1e-3 * tol / sup |z^T| over the working
-    samples and is halved (at most 40 times) until the certificate
-    accepts.
+    perturbation size is d = 1e-3 * tol / max(1, sup |z^T|) over the
+    working samples and the certificate runs once: a smaller d would only
+    shrink the Hankel values and a chordal share already below 1e-3 * tol.
     """
     mu = principal_parts(target, (k_region_center, k_region_radius))
 
@@ -440,23 +443,18 @@ def universality_pipeline(
     working = np.concatenate([k_sample.points, centers.points, delta_sample.points])
     sup_zt = float(np.max(np.abs(working) ** t_power))
     d = 1e-3 * tol / max(1.0, sup_zt)
-    last_error = None
-    for _ in range(41):
-        perturbed = perturb_polynomial(fitted, t_power, d)
-        candidate = mu + perturbed
-        p = candidate.numerator.degree
-        q = candidate.denominator.degree
-        certificate = universality_certificate(
-            candidate, centers, k_sample, delta_sample, target, p, q, s,
-            max_derivative_order=max_derivative_order,
-        )
-        if certificate.e_set_member and certificate.t_set_member:
-            return PipelineResult(candidate, fitted, perturbed, mu, d, certificate, report)
-        last_error = certificate
-        d /= 2.0
+    perturbed = perturb_polynomial(fitted, t_power, d)
+    candidate = mu + perturbed
+    certificate = universality_certificate(
+        candidate, centers, k_sample, delta_sample, target,
+        candidate.numerator.degree, candidate.denominator.degree, s,
+        max_derivative_order=max_derivative_order,
+    )
+    if certificate.e_set_member and certificate.t_set_member:
+        return PipelineResult(candidate, fitted, perturbed, mu, d, certificate, report)
     raise PerturbationDegenerateError(
         "no perturbation size satisfied the certificate; last certificate: "
-        f"e_set={last_error.e_set_member} t_set={last_error.t_set_member}"
+        f"e_set={certificate.e_set_member} t_set={certificate.t_set_member}"
     )
 
 

@@ -30,7 +30,9 @@ the largest coefficient magnitude in the Hankel window.
 An approximant is evaluated on whole arrays of sample points:
 :func:`common_zero_margin` and :func:`evaluate_extended_array` take the
 sample at once, with the same values bit for bit as a point-by-point loop;
-:func:`evaluate_extended` is the one-point wrapper.
+:func:`evaluate_extended` is the one-point wrapper.  Both apply one rule: a
+point is clear of a common zero when ``|A|^2 + |B|^2 > (COMMON_ZERO_RTOL *
+s)^2``, s the coefficient scale; evaluation raises exactly where it is not.
 """
 
 from __future__ import annotations
@@ -61,8 +63,6 @@ from .series import (
 NORMALITY_RTOL = 1e-10
 # |A|^2 + |B|^2 counts as clear of a common zero above (COMMON_ZERO_RTOL * s)^2.
 COMMON_ZERO_RTOL = 1e-10
-# Denominator values below EVAL_RTOL * scale are treated as zero on evaluation.
-EVAL_RTOL = 1e-12
 
 # Extended-precision complex dtype for the determinant kernel (80-bit on
 # x86-64; falls back to double where the platform lacks one).
@@ -185,11 +185,7 @@ class PadeApproximant:
         The determinant polynomials carry an arbitrary common factor, so
         thresholds must be relative to this scale rather than absolute.
         """
-        return max(
-            float(np.abs(self.numerator.coefficients).max()),
-            float(np.abs(self.denominator.coefficients).max()),
-            np.finfo(float).tiny,
-        )
+        return max(self.numerator.coefficient_scale(), self.denominator.coefficient_scale())
 
     def to_data(self) -> dict:
         return {
@@ -276,6 +272,13 @@ class CommonZeroMargin:
         return self.clear
 
 
+def _common_zero_values(approx: PadeApproximant, a: np.ndarray, b: np.ndarray):
+    """``|A|^2 + |B|^2`` at the values ``a``, ``b`` of the pair, and the
+    threshold ``(COMMON_ZERO_RTOL * s)^2`` that a point clear of a common
+    zero exceeds."""
+    return square(modulus(a)) + square(modulus(b)), (COMMON_ZERO_RTOL * approx.scale()) ** 2
+
+
 def common_zero_margin(approx: PadeApproximant, sample: CompactSample) -> CommonZeroMargin:
     """Check the determinant pair has no common zero on the sampled set.
 
@@ -284,36 +287,31 @@ def common_zero_margin(approx: PadeApproximant, sample: CompactSample) -> Common
     if len(sample) == 0:
         raise InvalidSampleError("empty sample")
     points = sample.points
-    values = square(modulus(approx.numerator(points))) + square(modulus(approx.denominator(points)))
+    values, threshold = _common_zero_values(approx, approx.numerator(points), approx.denominator(points))
     i = int(np.argmin(values))
     best = float(values[i])
-    threshold = (COMMON_ZERO_RTOL * approx.scale()) ** 2
     return CommonZeroMargin(best, threshold, complex(points[i]), best > threshold)
 
 
 def evaluate_extended_array(approx: PadeApproximant, z: np.ndarray) -> np.ndarray:
     """Values on the extended plane at every point of ``z``: A/B, or ``inf``
-    where only B vanishes.
+    where B is exactly zero.
 
-    Raises IndeterminateValueError, naming the first such point, when
-    numerator and denominator both vanish at a point (relative to their
-    coefficient scale).
+    Raises IndeterminateValueError, naming the first such point, where a
+    point is not clear of a common zero, by the rule of
+    :func:`common_zero_margin`.
     """
-    degree = max(approx.numerator.degree, approx.denominator.degree, 0)
-    with np.errstate(over="ignore"):
-        growth = np.float_power(np.maximum(1.0, modulus(z - approx.center)), degree)
-    tol = EVAL_RTOL * approx.scale() * growth
     a, b = approx.numerator(z), approx.denominator(z)
-    finite = modulus(b) > tol
-    indeterminate = ~(finite | (modulus(a) > tol))
+    values, threshold = _common_zero_values(approx, a, b)
+    indeterminate = ~(values > threshold)
     if indeterminate.any():
         bad = z[np.argmax(indeterminate)]
         raise IndeterminateValueError(f"numerator and denominator both vanish at {bad}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(finite, a / b, math.inf)
+        return np.where(b == 0, math.inf, a / b)
 
 
 def evaluate_extended(approx: PadeApproximant, z: complex) -> ExtendedComplex:
-    """Value on the extended plane at one point: A/B, or infinity where only B
+    """Value on the extended plane at one point: A/B, or infinity where B
     vanishes; see :func:`evaluate_extended_array`."""
     return as_extended(evaluate_extended_array(approx, np.array([complex(z)]))[0])

@@ -405,17 +405,12 @@ class RationalFunction:
             return array_quotient(self.numerator, self.denominator, z)
         return self.numerator(z) / self.denominator(z)
 
-    def derivative(self, order: int = 1) -> "RationalFunction":
-        """Exact rational derivative by the quotient rule."""
-        result = self
-        for _ in range(order):
-            num = (
-                result.numerator.derivative() * result.denominator
-                - result.numerator * result.denominator.derivative()
-            )
-            den = result.denominator * result.denominator
-            result = RationalFunction(num, den)
-        return result
+    def derivative(self) -> "RationalFunction":
+        """First derivative by the quotient rule.  Repeating it squares the
+        denominator and loses digits; :func:`derivative_values` gives higher
+        orders on points."""
+        num = self.numerator.derivative() * self.denominator - self.numerator * self.denominator.derivative()
+        return RationalFunction(num, self.denominator * self.denominator)
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):

@@ -19,6 +19,7 @@ import pytest
 
 from padelab import (
     INFINITY,
+    CompactSample,
     ExtendedComplex,
     PadeApproximant,
     Polynomial,
@@ -38,13 +39,13 @@ from padelab import (
     segment_sample,
     sup_chordal,
     two_set_poly_fit,
+    universality_certificate,
     universality_pipeline,
 )
 from padelab.construct import CenterRecord
 from padelab.errors import IndeterminateValueError
 from padelab.pade import (
     COMMON_ZERO_RTOL,
-    EVAL_RTOL,
     NORMALITY_RTOL,
     _coefficient_block,
     _lu_determinant,
@@ -103,15 +104,10 @@ def common_zero_margin_loop(approx, points):
 
 
 def evaluate_extended_loop(approx, z) -> ExtendedComplex:
-    tol = EVAL_RTOL * approx.scale() * max(1.0, abs(complex(z) - approx.center)) ** max(
-        approx.numerator.degree, approx.denominator.degree, 0
-    )
     a, b = approx.numerator(z), approx.denominator(z)
-    if abs(b) > tol:
-        return ExtendedComplex(a / b)
-    if abs(a) > tol:
-        return INFINITY
-    raise IndeterminateValueError(f"numerator and denominator both vanish at {z}")
+    if not abs(a) ** 2 + abs(b) ** 2 > (COMMON_ZERO_RTOL * approx.scale()) ** 2:
+        raise IndeterminateValueError(f"numerator and denominator both vanish at {z}")
+    return ExtendedComplex(a / b) if b != 0 else INFINITY
 
 
 def derivative_values_loop(num, den, z, order):
@@ -153,7 +149,7 @@ def certificate_records_loop(f, centers, k_sample, delta_sample, target, p, q, e
         margin_d, _ = common_zero_margin_loop(approx, delta_sample.points)
         chordal_sup = max(
             chordal_loop(evaluate_extended_loop(approx, z), target(z)) for z in k_sample.points
-        )
+        ) if margin_k > threshold else math.inf
         a_derivs = [
             derivative_values_loop(approx.numerator, approx.denominator, z, ell_max)
             for z in delta_sample.points
@@ -286,6 +282,41 @@ class TestPadeArrays:
         assert_same_bits(values[finite], np.array([w.value for w in want if not w.is_infinity]))
         assert [evaluate_extended(approx, z) for z in points] == want
 
+    def test_evaluation_raises_exactly_where_margin_is_not_clear(self):
+        def check_rule(approx, z):
+            margin = common_zero_margin(approx, CompactSample(z, "points", 1.0))
+            try:
+                values = evaluate_extended_array(approx, z)
+            except IndeterminateValueError:
+                assert not margin.clear
+                return False
+            assert margin.clear
+            a, b = approx.numerator(z), approx.denominator(z)
+            assert_same_bits(values[b != 0], a[b != 0] / b[b != 0])
+            assert np.all(values[b == 0] == math.inf)
+            return True
+
+        # the approximants of the certificate of `universality --target
+        # pi-z-plus-1-over-z-minus-2`; at 2.25 both A and B are small
+        target = RationalFunction(Polynomial([1.0, math.pi]), Polynomial([-2.0, 1.0]))
+        k, grid = circle_sample(2.0, 0.25, 64), disc_grid_sample(0.0, 0.5, 9)
+        result = universality_pipeline(target, Polynomial([0, 0, 1.0]), k, grid, grid, 2.0, 0.25, s=10)
+        p, q = result.certificate.p, result.certificate.q
+        points = np.concatenate([k.points, grid.points, [2.25 + 0j]])
+        for zeta in grid.points:
+            approx = pade_construct(result.function.taylor_at(zeta, p + q), p, q)
+            assert check_rule(approx, points)
+            assert check_rule(approx, np.array([2.25 + 0j]))
+        # a pair sharing the zero 0.5, approached from clear to not clear, and
+        # a pole where only B vanishes, exactly
+        shared = Polynomial([-0.5, 1.0])
+        common = PadeApproximant(2, 1, 0.0, shared * Polynomial([1.0, 2.0]), shared, 1.0, False)
+        outcomes = {check_rule(common, np.array([0.5 + 10.0**-e])) for e in np.arange(0.0, 16.0, 0.5)}
+        assert outcomes == {True, False}
+        assert not check_rule(common, np.array([0.5 + 0j]))
+        exp_11 = pade_construct(PowerSeries([1.0, 1.0, 0.5, 1.0 / 6.0]), 1, 1)  # pole at 2
+        assert check_rule(exp_11, np.array([2.0 + 0j, 0j, 1j]))
+
     def test_evaluate_extended_common_zero_raises(self):
         approx = PadeApproximant(1, 1, 0.0, Polynomial([0, 1]), Polynomial([0, 1]), 1.0, False)
         with pytest.raises(IndeterminateValueError, match=r"vanish at 0j"):
@@ -347,3 +378,14 @@ class TestConstructArrays:
         assert cert.e_set_member and cert.t_set_member
         want = certificate_records_loop(result.function, grid, k, grid, target, cert.p, cert.q, 3)
         assert cert.records == want
+
+    def test_certificate_rejects_on_common_zero_in_k(self):
+        # at the centre 0 the (2, 1) determinant pair of 1 + z^3 is (w, w), whose
+        # common zero is a point of K: a rejection, not an exception
+        f = RationalFunction(Polynomial([1.0, 0.0, 0.0, 1.0]), Polynomial([1.0]))
+        grid, delta = disc_grid_sample(0.0, 0.5, 3), circle_sample(0.0, 0.3, 8)
+        cert = universality_certificate(f, grid, grid, delta, f, 2, 1, s=5, max_derivative_order=2)
+        origin = [r for r in cert.records if r.center == 0]
+        assert len(origin) == 1 and origin[0].margin_on_k == 0.0 and origin[0].chordal_sup_on_k == math.inf
+        assert not cert.e_set_member and cert.sup_chordal_on_k == math.inf
+        assert cert.records == certificate_records_loop(f, grid, grid, delta, f, 2, 1, 2)

@@ -275,6 +275,13 @@ class TestUniversalityCommand:
         sups = json.loads(out.read_text())["sup_derivative_errors_on_Delta"]
         assert len(sups) == 4 and all(e < 1e-6 for e in sups)
 
+    def test_pi_target_accepts(self, tmp_path):
+        # both determinant polynomials are small at 2.25 on K, yet clear of a common zero
+        out = tmp_path / "cert.json"
+        assert run(["universality", "--target", "pi-z-plus-1-over-z-minus-2", "--out", str(out)]) == EXIT_OK
+        cert = json.loads(out.read_text())
+        assert cert["e_set_member"] is True and cert["t_set_member"] is True
+
     def test_derivative_orders_through_six(self, tmp_path):
         out = tmp_path / "cert.json"
         assert run(["universality", "--ell-max", "6", "--out", str(out)]) == EXIT_OK

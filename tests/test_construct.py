@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -26,11 +27,15 @@ from padelab import (
     taylor_of_rational,
     two_set_poly_fit,
     universality_certificate,
+    universality_pipeline,
     volterra_apply,
 )
+from padelab import construct
 from padelab.errors import (
     DegreeViolationError,
     FitFailureError,
+    IndeterminateValueError,
+    PerturbationDegenerateError,
     PoleNotInListError,
     PreconditionError,
 )
@@ -167,6 +172,73 @@ class TestUniversalityCertificate:
         )
         assert not cert.e_set_member
         assert all(abs(h) < 1e-12 for h in cert.hankel_values)
+
+
+def universality_population(seed, count):
+    """Seeded pipeline runs around a pole near 2: (target, K, centre grid, s).
+
+    The targets cycle through three kinds: (c0 + c1 z)/(z - a) with
+    |a - 2| <= 0.15; 1/((z - r1)(z - r2)) with both roots within 0.15 of 2;
+    and 1/((z - a)(z - b)) with |a - 2| <= 0.15 and 1.2 <= |b| <= 1.8.
+    """
+    rng = random.Random(seed)
+
+    def near_two():
+        return 2.0 + cmath.rect(rng.uniform(0.0, 0.15), rng.uniform(0.0, 2.0 * math.pi))
+
+    def unit_box():
+        return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+
+    for i in range(count):
+        if i % 3 == 0:
+            target = rational([unit_box(), unit_box()], [-near_two(), 1.0])
+        else:
+            a = near_two()
+            b = near_two() if i % 3 == 1 else cmath.rect(rng.uniform(1.2, 1.8), rng.uniform(0.0, 2.0 * math.pi))
+            target = rational([1.0], [a * b, -(a + b), 1.0])
+        k = circle_sample(2.0, 0.25, rng.choice([32, 64, 128]))
+        grid = disc_grid_sample(0.0, 0.5, rng.choice([3, 5, 7, 9]))
+        yield target, k, grid, rng.choice([5, 10, 20])
+
+
+def run_pipeline(target, k, grid, s):
+    return universality_pipeline(target, Polynomial([0, 0, 1.0]), k, grid, grid, 2.0, 0.25, s)
+
+
+@pytest.fixture
+def certificate_calls(monkeypatch):
+    calls = []
+    certificate = construct.universality_certificate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return certificate(*args, **kwargs)
+
+    monkeypatch.setattr(construct, "universality_certificate", counting)
+    return calls
+
+
+class TestUniversalityPipeline:
+    def test_two_pole_target_rejects_after_one_certificate(self, certificate_calls):
+        target = rational([1.0], np.polynomial.polynomial.polyfromroots([1.92, 2.08]))
+        k, grid = circle_sample(2.0, 0.25, 16), disc_grid_sample(0.0, 0.5, 2)
+        with pytest.raises(PerturbationDegenerateError, match="^no perturbation size satisfied the certificate"):
+            run_pipeline(target, k, grid, 10)
+        assert len(certificate_calls) == 1
+
+    def test_population_certifies_once_without_indeterminate_values(self, certificate_calls):
+        outcomes = []
+        for target, k, grid, s in universality_population(1, 12):
+            before = len(certificate_calls)
+            try:
+                run_pipeline(target, k, grid, s)
+                outcomes.append("accepted")
+            except (PerturbationDegenerateError, FitFailureError) as exc:
+                outcomes.append(type(exc).__name__)
+            except IndeterminateValueError as exc:
+                pytest.fail(f"verdict turned into an exception: {exc}")
+            assert len(certificate_calls) - before <= 1
+        assert "accepted" in outcomes
 
 
 class TestPrincipalParts:
