@@ -417,8 +417,9 @@ def universality_pipeline(
     ``smooth_target`` must evaluate arrays of points and expose
     ``derivative()`` (Polynomial and RationalFunction both do).  The
     perturbation size is d = 1e-3 * tol / max(1, sup |z^T|) over the
-    working samples and the certificate runs once: a smaller d would only
-    shrink the Hankel values and a chordal share already below 1e-3 * tol.
+    working samples.  At most two candidates are certified, each at its
+    own degrees: the perturbed one, skipped when the trim (TRIM_RTOL)
+    has dropped its d z^T term, then the fit alone with d = 0.
     """
     mu = principal_parts(target, (k_region_center, k_region_radius))
 
@@ -444,14 +445,17 @@ def universality_pipeline(
     sup_zt = float(np.max(np.abs(working) ** t_power))
     d = 1e-3 * tol / max(1.0, sup_zt)
     perturbed = perturb_polynomial(fitted, t_power, d)
-    candidate = mu + perturbed
-    certificate = universality_certificate(
-        candidate, centers, k_sample, delta_sample, target,
-        candidate.numerator.degree, candidate.denominator.degree, s,
-        max_derivative_order=max_derivative_order,
-    )
-    if certificate.e_set_member and certificate.t_set_member:
-        return PipelineResult(candidate, fitted, perturbed, mu, d, certificate, report)
+    candidates = [(d, perturbed, mu + perturbed), (0.0, fitted, mu + fitted)]
+    if candidates[0][2].numerator.degree < t_power + mu.denominator.degree:
+        del candidates[0]  # the trim dropped d z^T
+    for d, perturbed, candidate in candidates:
+        certificate = universality_certificate(
+            candidate, centers, k_sample, delta_sample, target,
+            candidate.numerator.degree, candidate.denominator.degree, s,
+            max_derivative_order=max_derivative_order,
+        )
+        if certificate.e_set_member and certificate.t_set_member:
+            return PipelineResult(candidate, fitted, perturbed, mu, d, certificate, report)
     raise PerturbationDegenerateError(
         "no perturbation size satisfied the certificate; last certificate: "
         f"e_set={certificate.e_set_member} t_set={certificate.t_set_member}"

@@ -219,14 +219,31 @@ def certificate_calls(monkeypatch):
 
 
 class TestUniversalityPipeline:
-    def test_two_pole_target_rejects_after_one_certificate(self, certificate_calls):
+    def test_two_pole_target_rejects_after_perturbed_candidate_and_fit(self, certificate_calls):
         target = rational([1.0], np.polynomial.polynomial.polyfromroots([1.92, 2.08]))
         k, grid = circle_sample(2.0, 0.25, 16), disc_grid_sample(0.0, 0.5, 2)
         with pytest.raises(PerturbationDegenerateError, match="^no perturbation size satisfied the certificate"):
             run_pipeline(target, k, grid, 10)
-        assert len(certificate_calls) == 1
+        # the candidate with d z^T, then the fit alone, one degree lower
+        assert [call[5] for call in certificate_calls] == [certificate_calls[0][5], certificate_calls[0][5] - 1]
 
-    def test_population_certifies_once_without_indeterminate_values(self, certificate_calls):
+    def test_fit_alone_accepts_where_the_perturbation_fails_normality(self, certificate_calls):
+        # at d0 the perturbed candidate fails normality; the fit alone, one degree lower, is normal
+        target, k, grid, s = list(universality_population(1, 11))[10]
+        result = run_pipeline(target, k, grid, s)
+        assert [call[5] for call in certificate_calls] == [12, 11]
+        assert result.perturbation == 0 and result.perturbed == result.fitted
+        assert (result.certificate.p, result.certificate.q) == (11, 2)
+
+    def test_trimmed_perturbation_is_not_certified(self, certificate_calls):
+        # d z^T survives perturb_polynomial but not the rational sum with the singular part
+        target = rational([1.0, math.pi], [-2.0, 1.0])
+        result = run_pipeline(target, circle_sample(2.0, 0.25, 64), disc_grid_sample(0.0, 0.5, 9), 10)
+        assert len(certificate_calls) == 1
+        assert result.perturbation == 0 and result.perturbed == result.fitted
+        assert result.certificate.p == result.function.numerator.degree == result.fitted.degree + 1
+
+    def test_population_without_indeterminate_values(self, certificate_calls):
         outcomes = []
         for target, k, grid, s in universality_population(1, 12):
             before = len(certificate_calls)
@@ -237,7 +254,7 @@ class TestUniversalityPipeline:
                 outcomes.append(type(exc).__name__)
             except IndeterminateValueError as exc:
                 pytest.fail(f"verdict turned into an exception: {exc}")
-            assert len(certificate_calls) - before <= 1
+            assert len(certificate_calls) - before <= 2
         assert "accepted" in outcomes
 
 
