@@ -344,16 +344,21 @@ def _gauss_segment(f, a: complex, b: complex) -> complex:
     return acc * rad
 
 
-def adaptive_gauss_legendre(f, a: complex, b: complex, tol: float, depth: int = 0) -> complex:
+def adaptive_gauss_legendre(f, a: complex, b: complex, tol: float) -> complex:
     """Integral of f over the real or complex segment [a, b], to absolute tolerance tol.
 
     Each step compares one 16-node Gauss-Legendre estimate with the sum over
     the two halves and bisects until they agree; raises QuadratureError when
     a piece is still unresolved after MAX_BISECTIONS bisections.
     """
-    whole = _gauss_segment(f, a, b)
+    return _bisect(f, a, b, tol, _gauss_segment(f, a, b), 0)
+
+
+def _bisect(f, a: complex, b: complex, tol: float, whole: complex, depth: int) -> complex:
+    """One step of :func:`adaptive_gauss_legendre`; ``whole`` is the parent's half."""
     mid = (a + b) / 2.0
-    halves = _gauss_segment(f, a, mid) + _gauss_segment(f, mid, b)
+    left, right = _gauss_segment(f, a, mid), _gauss_segment(f, mid, b)
+    halves = left + right
     # relative floor: successive estimates cannot agree below roundoff scale
     if abs(halves - whole) <= max(tol, 4e-15 * abs(halves)):
         return halves
@@ -361,9 +366,7 @@ def adaptive_gauss_legendre(f, a: complex, b: complex, tol: float, depth: int = 
         raise QuadratureError(
             f"no convergence after {MAX_BISECTIONS} bisections on [{a}, {b}]"
         )
-    return adaptive_gauss_legendre(f, a, mid, tol / 2.0, depth + 1) + adaptive_gauss_legendre(
-        f, mid, b, tol / 2.0, depth + 1
-    )
+    return _bisect(f, a, mid, tol / 2.0, left, depth + 1) + _bisect(f, mid, b, tol / 2.0, right, depth + 1)
 
 
 def path_integral(f, path, tol: float = QUAD_TOL) -> complex:

@@ -88,7 +88,7 @@ class FitFailureError(NumericError):
 
 
 class PerturbationDegenerateError(NumericError):
-    """A perturbed rational function failed the coprimality check."""
+    """A perturbation lost its exact degree or coprimality, or the universality certificate rejected."""
 
 
 class QuadratureError(NumericError):

@@ -182,7 +182,7 @@ def test_criterion_4_rationalization():
 
 
 def test_criterion_5_universality_pipeline():
-    """Fit + perturb + certificate on the disc/circle geometry, s = 10."""
+    """Fit plus singular part, one certificate, on the disc/circle geometry, s = 10."""
     start = time.monotonic()
     target = RationalFunction(Polynomial([1.0]), Polynomial([-2.0, 1.0]))
     smooth = Polynomial([0.0, 0.0, 1.0])

@@ -121,6 +121,11 @@ class TestPerturbations:
         with pytest.raises(DegreeViolationError):
             perturb_polynomial(Polynomial([1.0, 1.0]), 1, 1e-3)
 
+    def test_trimmed_polynomial_perturbation_raises(self):
+        # 1e-14 z^3 is below TRIM_RTOL of the largest coefficient
+        with pytest.raises(PerturbationDegenerateError):
+            perturb_polynomial(Polynomial([1.0, 1.0]), 3, 1e-14)
+
     def test_rational_perturbation_coprime(self):
         r = rational([1.0], [1.0, -1.0])  # 1/(1-z), monic den (z-1) after normalize
         perturbed = perturb_rational(r, 2, 0.01)
@@ -135,6 +140,11 @@ class TestPerturbations:
         r = rational([1.0], [0.0, 0.0, 1.0])  # 1/z^2
         with pytest.raises(PreconditionError):
             perturb_rational(r, 1, 0.01)
+
+    def test_trimmed_rational_perturbation_raises(self):
+        # (A + d z B)/B with d = 1e-15 keeps only A's constant term
+        with pytest.raises(PerturbationDegenerateError):
+            perturb_rational(rational([1.0], [1.0, -1.0]), 2, 1e-15)
 
     def test_perturbed_rational_is_own_approximant(self):
         perturbed = perturb_rational(rational([1.0], [1.0, -1.0]), 2, 0.01)
@@ -219,28 +229,27 @@ def certificate_calls(monkeypatch):
 
 
 class TestUniversalityPipeline:
-    def test_two_pole_target_rejects_after_perturbed_candidate_and_fit(self, certificate_calls):
+    def test_two_pole_target_rejects_after_one_certificate(self, certificate_calls):
         target = rational([1.0], np.polynomial.polynomial.polyfromroots([1.92, 2.08]))
         k, grid = circle_sample(2.0, 0.25, 16), disc_grid_sample(0.0, 0.5, 2)
         with pytest.raises(PerturbationDegenerateError, match="^no perturbation size satisfied the certificate"):
             run_pipeline(target, k, grid, 10)
-        # the candidate with d z^T, then the fit alone, one degree lower
-        assert [call[5] for call in certificate_calls] == [certificate_calls[0][5], certificate_calls[0][5] - 1]
+        assert len(certificate_calls) == 1
 
     def test_fit_alone_accepts_where_the_perturbation_fails_normality(self, certificate_calls):
-        # at d0 the perturbed candidate fails normality; the fit alone, one degree lower, is normal
+        # the fit plus d z^T at d = 1e-3 tol / max(1, sup |z|^T) fails normality here
         target, k, grid, s = list(universality_population(1, 11))[10]
         result = run_pipeline(target, k, grid, s)
-        assert [call[5] for call in certificate_calls] == [12, 11]
-        assert result.perturbation == 0 and result.perturbed == result.fitted
+        assert [call[5] for call in certificate_calls] == [11]
         assert (result.certificate.p, result.certificate.q) == (11, 2)
 
-    def test_trimmed_perturbation_is_not_certified(self, certificate_calls):
-        # d z^T survives perturb_polynomial but not the rational sum with the singular part
+    def test_pi_target_certifies_fit_plus_singular_part(self, certificate_calls):
         target = rational([1.0, math.pi], [-2.0, 1.0])
         result = run_pipeline(target, circle_sample(2.0, 0.25, 64), disc_grid_sample(0.0, 0.5, 9), 10)
         assert len(certificate_calls) == 1
-        assert result.perturbation == 0 and result.perturbed == result.fitted
+        expected = result.singular_part + result.fitted
+        assert result.function.numerator == expected.numerator
+        assert result.function.denominator == expected.denominator
         assert result.certificate.p == result.function.numerator.degree == result.fitted.degree + 1
 
     def test_population_without_indeterminate_values(self, certificate_calls):
@@ -254,7 +263,8 @@ class TestUniversalityPipeline:
                 outcomes.append(type(exc).__name__)
             except IndeterminateValueError as exc:
                 pytest.fail(f"verdict turned into an exception: {exc}")
-            assert len(certificate_calls) - before <= 2
+            # a run that fails the fit makes no certificate call
+            assert len(certificate_calls) - before == (outcomes[-1] != "FitFailureError")
         assert "accepted" in outcomes
 
 
