@@ -2,8 +2,9 @@
 
 The package is organized around seven areas:
 
-* :mod:`padelab.series` -- polynomials, truncated power series, rational
-  functions and the extended complex plane;
+* :mod:`padelab.series` -- polynomials, truncated power series and rational
+  functions, evaluated on points or arrays (a non-finite value is the point
+  at infinity);
 * :mod:`padelab.pade` -- Hankel normality tests and Pade construction;
 * :mod:`padelab.sphere` -- the chordal metric, sampled sup distances and
   dyadic coefficient rounding;
@@ -79,12 +80,9 @@ from .pade import (
 )
 from .samples import CompactSample, circle_sample, disc_grid_sample, segment_sample
 from .series import (
-    INFINITY,
-    ExtendedComplex,
     Polynomial,
     PowerSeries,
     RationalFunction,
-    as_extended,
     derivative_values,
     partial_sum,
     polynomial_gcd,

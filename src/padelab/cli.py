@@ -6,6 +6,10 @@ config produce byte-identical files (floats are written with Python's
 shortest round-trip repr).
 
 Exit codes: 0 success, 2 precondition error, 3 numeric failure, 64 usage.
+Text that does not parse (a number, a spec, the config file) is a usage
+error.  A value out of its range is a precondition error, whether it raises
+a typed PreconditionError or the ValueError or ArithmeticError of its first
+use.
 
 The argument parser is built once per process, on the first main() call,
 and reused by every later call; nothing in it is mutated by parsing, and
@@ -145,12 +149,31 @@ def write_svg_plot(xs, ys, path: str, x_label: str, y_label: str):
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config {path!r}: {exc}") from exc
 
 
 def parse_complex(text: str) -> complex:
-    return complex(text.replace(" ", "").replace("i", "j"))
+    """A complex number as ``complex()`` reads it, with a trailing ``i`` for
+    ``j``; ``inf``, ``-inf``, ``infj`` and ``nan`` are the point at infinity."""
+    text = text.replace(" ", "")
+    if text.endswith("i"):
+        text = text[:-1] + "j"
+    try:
+        return complex(text)
+    except ValueError:
+        raise UsageError(f"not a complex number: {text!r}") from None
+
+
+def _spec_numbers(spec: str, text: str) -> list[float]:
+    """The comma-separated numbers ``text`` of a sample, cycle or domain spec."""
+    try:
+        return [float(x) for x in text.split(",")] if text else []
+    except ValueError:
+        raise UsageError(f"bad spec {spec!r}") from None
 
 
 BUILTIN_RATIONALS = {
@@ -182,7 +205,7 @@ def resolve_sample(spec: str, config: dict) -> CompactSample:
             raise UsageError(f"sample {spec!r} not found in config")
         return CompactSample.from_data(data)
     kind, _, rest = spec.partition(":")
-    parts = [float(x) for x in rest.split(",")] if rest else []
+    parts = _spec_numbers(spec, rest)
     if kind == "circle" and len(parts) == 4:
         return circle_sample(complex(parts[0], parts[1]), parts[2], int(parts[3]))
     if kind == "disc-grid" and len(parts) == 4:
@@ -197,7 +220,7 @@ def resolve_cycle(spec: str):
         return CirclePath(0.0, 1.0)
     kind, _, rest = spec.partition(":")
     if kind == "circle":
-        parts = [float(x) for x in rest.split(",")]
+        parts = _spec_numbers(spec, rest)
         if len(parts) == 3:
             return CirclePath(complex(parts[0], parts[1]), parts[2])
     raise UsageError(f"bad cycle spec {spec!r}")
@@ -211,15 +234,16 @@ def resolve_domain(spec: str, config: dict) -> DomainSpec:
             raise UsageError(f"domain {spec!r} not found in config")
         return DomainSpec.from_data(data)
     if spec.startswith("disc:"):
-        parts = [float(x) for x in spec[len("disc:"):].split(",")]
+        parts = _spec_numbers(spec, spec[len("disc:"):])
         if len(parts) == 3:
             return DiscDomain(complex(parts[0], parts[1]), parts[2])
         raise UsageError(f"bad domain spec {spec!r}")
     try:
         with open(spec) as fh:
-            return DomainSpec.from_data(json.load(fh))
-    except OSError as exc:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read domain file {spec!r}: {exc}") from exc
+    return DomainSpec.from_data(data)
 
 
 MOMENT_FUNCTIONS = {
@@ -241,9 +265,7 @@ def cmd_pade(args, config) -> int:
 
 def cmd_chordal(args, config) -> int:
     if args.a is not None and args.b is not None:
-        a = math.inf if args.a == "inf" else parse_complex(args.a)
-        b = math.inf if args.b == "inf" else parse_complex(args.b)
-        value = chordal(a, b)
+        value = chordal(parse_complex(args.a), parse_complex(args.b))
         _write_text(json.dumps({"chordal": value}, default=_json_default) + "\n", args.out)
         return EXIT_OK
     if args.f and args.g and args.sample:
@@ -319,6 +341,8 @@ def cmd_universality(args, config) -> int:
 
 
 def cmd_cascade(args, config) -> int:
+    if args.grid < 10:
+        raise PreconditionError("--grid must be at least 10")
     n = args.n
     series = series_builtin(args.f, 0.0, args.pn_degree)
     top = partial_sum(series, args.pn_degree)
@@ -362,6 +386,8 @@ def cmd_volterra(args, config) -> int:
 
 
 def cmd_divergence(args, config) -> int:
+    if not args.eps_min > 0.0:
+        raise PreconditionError("--eps-min must be positive")
     decades = int(round(math.log10(args.eps_max / args.eps_min)))
     count = decades * args.per_decade + 1
     eps_list = [
@@ -487,7 +513,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except PreconditionError as exc:
+    except (PreconditionError, ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"precondition error: {exc}\n")
         return EXIT_PRECONDITION
     except NumericError as exc:

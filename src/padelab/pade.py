@@ -50,11 +50,9 @@ from .errors import (
 )
 from .samples import CompactSample
 from .series import (
-    ExtendedComplex,
     Polynomial,
     PowerSeries,
-    array_quotient,
-    as_extended,
+    RationalFunction,
     modulus,
     partial_sum,
     square,
@@ -171,13 +169,7 @@ class PadeApproximant:
     hankel_value: complex
     normal: bool
 
-    def eval_extended(self, z: complex) -> ExtendedComplex:
-        return evaluate_extended(self, z)
-
-    def __call__(self, z):
-        if isinstance(z, np.ndarray):
-            return array_quotient(self.numerator, self.denominator, z)
-        return self.numerator(z) / self.denominator(z)
+    __call__ = RationalFunction.__call__
 
     def scale(self) -> float:
         """Largest coefficient magnitude of the pair (their common scale).
@@ -311,7 +303,7 @@ def evaluate_extended_array(approx: PadeApproximant, z: np.ndarray) -> np.ndarra
         return np.where(b == 0, math.inf, a / b)
 
 
-def evaluate_extended(approx: PadeApproximant, z: complex) -> ExtendedComplex:
-    """Value on the extended plane at one point: A/B, or infinity where B
+def evaluate_extended(approx: PadeApproximant, z: complex) -> complex:
+    """Value on the extended plane at one point: A/B, or ``inf`` where B
     vanishes; see :func:`evaluate_extended_array`."""
-    return as_extended(evaluate_extended_array(approx, np.array([complex(z)]))[0])
+    return complex(evaluate_extended_array(approx, np.array([complex(z)]))[0])

@@ -27,15 +27,15 @@ scalar ``abs(z)`` and ``x ** 2`` with the same rounding,
 and :func:`derivative_values` gives the derivatives of a quotient of
 polynomials on an array by the Leibniz rule, without forming them.
 
-Points of the extended plane are modelled by :class:`ExtendedComplex`; the
-single point at infinity is the module constant :data:`INFINITY`.
+A point of the extended plane is a ``complex``, and one with any non-finite
+part (``inf`` or ``nan``) is the point at infinity: the one-infinity model of
+C99 Annex G, with a NaN part counted as infinite too.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -601,48 +601,13 @@ def series_builtin(name: str, center: complex = 0.0, order: int = 10) -> PowerSe
     raise ValueError(f"unknown builtin series {name!r}")
 
 
-@dataclass(frozen=True)
-class ExtendedComplex:
-    """A point of the extended plane: a finite complex value or infinity."""
-
-    value: complex | None = None
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.value is None
-
-    @property
-    def finite(self) -> complex:
-        if self.value is None:
-            raise ValueError("the point at infinity has no finite value")
-        return self.value
-
-    def __repr__(self):
-        return "INFINITY" if self.value is None else f"ExtendedComplex({self.value!r})"
-
-
-INFINITY = ExtendedComplex(None)
-
-
-def as_extended(value) -> ExtendedComplex:
-    """Coerce a complex number (or ExtendedComplex) to ExtendedComplex."""
-    if isinstance(value, ExtendedComplex):
-        return value
-    value = complex(value)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        return INFINITY
-    return ExtendedComplex(value)
-
-
 def values_on(f, points: np.ndarray) -> np.ndarray:
     """Values of ``f`` at an array of points, as a complex array of the same shape.
 
     A callable is called once, on the whole array; a scalar it returns is
-    broadcast.  A number, an array or an ExtendedComplex is taken as is;
-    INFINITY becomes ``inf``.  Non-finite entries stand for infinity.
+    broadcast.  A number or an array is taken as is.  A non-finite entry
+    (any part ``inf`` or ``nan``) stands for the point at infinity.
     """
     if callable(f):
         f = f(points)
-    if isinstance(f, ExtendedComplex):
-        f = math.inf if f.is_infinity else f.finite
     return np.broadcast_to(np.asarray(f, dtype=complex), points.shape)

@@ -65,12 +65,9 @@ def _root_one_plus_square(r: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(sq), np.hypot(1.0, r), np.sqrt(1.0 + sq))
 
 
-_ONE_POINT = np.zeros(1, dtype=complex)
-
-
 def chordal(a, b) -> float:
     """Chordal distance between two points of the extended plane."""
-    return float(chordal_array(values_on(a, _ONE_POINT), values_on(b, _ONE_POINT))[0])
+    return float(chordal_array(a, b))
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,7 @@ def sup_chordal(f, g, sample: CompactSample) -> SupChordal:
     """max over the sample of chordal(f(z), g(z)), at its first maximizing point.
 
     ``f`` and ``g`` are callables, each called once on the whole array of
-    sample points, or constants (a number or an ExtendedComplex); see
+    sample points, or constants (a number, non-finite for infinity); see
     :func:`padelab.series.values_on`.  Indeterminate evaluations propagate
     as errors.
     """

@@ -18,7 +18,6 @@ import numpy as np
 
 from padelab import (
     CirclePath,
-    INFINITY,
     Polynomial,
     PowerSeries,
     RationalFunction,
@@ -142,12 +141,12 @@ def test_criterion_2_self_reproduction():
 def test_criterion_3_chordal_metric_axioms():
     """10^4 seeded extended triples: symmetry, triangle, range."""
     rng = np.random.default_rng(SEED + 2)
-    exact_values = chordal(0.0, INFINITY) == 1.0 and chordal(INFINITY, INFINITY) == 0.0
+    exact_values = chordal(0.0, math.inf) == 1.0 and chordal(math.inf, math.inf) == 0.0
 
     def draw():
         kind = rng.uniform()
         if kind < 0.05:
-            return INFINITY
+            return complex(math.inf)
         return complex(rng.standard_normal(), rng.standard_normal()) * math.exp(
             rng.uniform(-2.0, 4.0)
         )

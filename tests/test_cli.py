@@ -122,6 +122,44 @@ class TestDispatch:
                     "--eps", "1e-30", "--out", str(tmp_path / "c.csv")]) == EXIT_NUMERIC
 
 
+class TestNoTraceback:
+    # text that does not parse is a usage error, a value out of its range a
+    # precondition error; a non-finite complex is the point at infinity
+    @pytest.mark.parametrize("argv, code", [
+        ("pade --builtin exp --p 1 --q 1 --center abc", EXIT_USAGE),
+        ("universality --k-center zz", EXIT_USAGE),
+        ("chordal --a 0 --b xyz", EXIT_USAGE),
+        ("chordal --f one-over-z --g one-over-z2 --sample circle:a,0,1,8", EXIT_USAGE),
+        ("moments --f one-over-z --cycle circle:0,0,x", EXIT_USAGE),
+        ("cascade --domain disc:0,0,q", EXIT_USAGE),
+        ("--config no-such-config.json volterra", EXIT_USAGE),
+        ("moments --f one-over-z --cycle circle:0,0,-1", EXIT_PRECONDITION),
+        ("cascade --domain disc:0,0,-1", EXIT_PRECONDITION),
+        ("moments --f one-over-z --n 0", EXIT_PRECONDITION),
+        ("pade --builtin exp --p -1 --q 1", EXIT_PRECONDITION),
+        ("volterra --order -3", EXIT_PRECONDITION),
+        ("divergence --eps-min 0 --eps-max 1e-2", EXIT_PRECONDITION),
+        ("universality --s 0", EXIT_PRECONDITION),
+        ("cascade --grid 5", EXIT_PRECONDITION),
+        ("chordal --a=-inf --b 0", EXIT_OK),
+        ("chordal --a=infj --b 0", EXIT_OK),
+        ("chordal --a nan --b 0", EXIT_OK),
+        ("chordal --a 0 --b inf", EXIT_OK),
+    ])
+    def test_exit_code(self, argv, code, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv.split()) == code
+        out, err = capsys.readouterr()
+        if code == EXIT_OK:
+            assert json.loads(out) == {"chordal": 1.0}
+        else:
+            assert err.startswith("usage error: " if code == EXIT_USAGE else "precondition error: ")
+
+    def test_trailing_i_is_the_imaginary_unit(self, capsys):
+        assert run(["chordal", "--a", "1+2i", "--b", "1+2j"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"chordal": 0.0}
+
+
 class TestExpBeyondFloatFactorials:
     # float(k!) overflows from k = 171 on
     def test_volterra_order_171(self, tmp_path):

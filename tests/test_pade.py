@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from padelab import (
     RationalFunction,
     circle_sample,
     common_zero_margin,
+    evaluate_extended,
     hankel_determinant,
     normality,
     pade_construct,
@@ -195,18 +198,34 @@ class TestCommonZeroMargin:
 class TestEvalExtended:
     def test_pole_value_is_infinity(self):
         approx = pade_construct(series_builtin("exp", 0.0, 3), 1, 1)
-        assert approx.eval_extended(2.0).is_infinity
+        value = evaluate_extended(approx, 2.0)
+        assert type(value) is complex and not cmath.isfinite(value)
 
     def test_center_value_matches_a0(self):
         approx = pade_construct(series_builtin("exp", 0.0, 3), 1, 1)
-        assert abs(approx.eval_extended(0.0).finite - 1.0) < 1e-14
+        assert abs(evaluate_extended(approx, 0.0) - 1.0) < 1e-14
 
     def test_indeterminate_point_rejected(self):
         approx = PadeApproximant(
             1, 1, 0.0, Polynomial([0, 1]), Polynomial([0, 1]), 1.0, False
         )
         with pytest.raises(IndeterminateValueError):
-            approx.eval_extended(0.0)
+            evaluate_extended(approx, 0.0)
+
+
+class TestPadeCall:
+    def test_is_the_rational_quotient(self):
+        assert PadeApproximant.__call__ is RationalFunction.__call__
+
+    def test_agrees_with_rational_function_bit_for_bit(self, rng):
+        approx = pade_construct(series_builtin("exp", 0.0, 8), 4, 4)
+        # the same pair, unnormalized, as a RationalFunction
+        r = RationalFunction(approx.numerator, approx.denominator, _normalized=True)
+        z = complex_normal(rng, 33) * 3.0
+        assert np.array_equal(approx(z).view(np.uint64), r(z).view(np.uint64))
+        for w in z[:5]:
+            got, want = approx(complex(w)), r(complex(w))
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 class TestPadeSerialization:

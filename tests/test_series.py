@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 
 from padelab import (
-    INFINITY,
-    ExtendedComplex,
     Polynomial,
     PowerSeries,
     RationalFunction,
-    as_extended,
     derivative_values,
     partial_sum,
     polynomial_gcd,
@@ -269,16 +266,6 @@ class TestSeriesBuiltin:
     def test_singular_center_rejected(self):
         with pytest.raises(SingularCenterError):
             series_builtin("log1m", 1.0, 3)
-
-
-class TestExtendedComplex:
-    def test_infinity_identity(self):
-        assert INFINITY.is_infinity
-        assert as_extended(INFINITY) is INFINITY
-        assert as_extended(2.0) == ExtendedComplex(2.0 + 0j)
-
-    def test_nonfinite_maps_to_infinity(self):
-        assert as_extended(complex(np.inf, 0)).is_infinity
 
 
 class TestSerialization:

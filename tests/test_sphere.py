@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from padelab import (
-    INFINITY,
     Polynomial,
     RationalFunction,
     chordal,
@@ -13,18 +12,23 @@ from padelab import (
     dyadic_round,
     rationalize_coefficients,
     sup_chordal,
+    values_on,
 )
 from padelab.errors import PrecisionTooCoarseError
 
 from conftest import complex_normal
 
 
+# every non-finite complex is the one point at infinity
+INFINITIES = [math.inf, np.inf, complex(math.inf, math.nan), complex(0, -math.inf)]
+
+
 class TestChordal:
     def test_infinity_to_infinity(self):
-        assert chordal(INFINITY, INFINITY) == 0.0
+        assert all(chordal(x, y) == 0.0 for x in INFINITIES for y in INFINITIES)
 
     def test_zero_to_infinity(self):
-        assert chordal(0.0, INFINITY) == 1.0
+        assert all(chordal(x, 0.0) == 1.0 for x in INFINITIES)
 
     def test_zero_to_one(self):
         assert abs(chordal(0.0, 1.0) - 1.0 / math.sqrt(2.0)) < 1e-15
@@ -34,7 +38,7 @@ class TestChordal:
         assert abs(chordal(1e200, 0.0) - 1.0) < 1e-15
         assert chordal(1e200, 1e200) == 0.0
         assert abs(chordal(1e200, -1e200) - 2e-200) < 1e-15 * 2e-200
-        assert chordal(1e200, INFINITY) == 1e-200
+        assert chordal(1e200, math.inf) == 1e-200
         assert chordal(1e300, 3e299j) == chordal(3e299j, 1e300)
 
     def test_symmetry_exact(self, rng):
@@ -52,7 +56,7 @@ class TestChordal:
         d = chordal_array(points[:, None], points[None, :])
         # d[a, c] <= d[a, b] + d[b, c] over all 31^3 triples (a, b, c)
         assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-12)
-        spot = list(points[:4]) + [INFINITY]
+        spot = list(points[:4]) + [math.inf]
         for a in spot:
             for b in spot:
                 for c in spot:
@@ -75,8 +79,13 @@ class TestSupChordal:
     def test_near_pole_close_to_infinity(self):
         sample = circle_sample(2.0, 1e-6, 16)
         f = lambda z: 1.0 / (z - 2.0)
-        result = sup_chordal(f, INFINITY, sample)
+        result = sup_chordal(f, math.inf, sample)
         assert result.value < 1e-5
+
+    def test_constant_infinity_on_every_point(self):
+        points = circle_sample(0.0, 1.0, 8).points
+        values = values_on(math.inf, points)
+        assert values.shape == points.shape and np.all(values == math.inf)
 
     def test_reduces_to_pointwise_chordal(self):
         sample = circle_sample(0.0, 1e-30, 1)
