@@ -8,10 +8,10 @@ The package is organized around seven areas:
 * :mod:`padelab.pade` -- Hankel normality tests and Pade construction;
 * :mod:`padelab.sphere` -- the chordal metric, sampled sup distances and
   dyadic coefficient rounding;
-* :mod:`padelab.construct` -- two-set polynomial fitting, exact-degree
-  perturbations, universality certificates, principal parts, residue
-  correction, the antiderivative cascade and the coefficient Volterra
-  operator;
+* :mod:`padelab.construct` -- two-set polynomial fitting, universality
+  certificates and the pipeline that certifies a fit, principal parts,
+  residue correction, the antiderivative cascade and the coefficient
+  Volterra operator;
 * :mod:`padelab.domains` -- disc/starlike/corridor domains, bounded
   joining paths, adaptive path integration and contour moment tests;
 * :mod:`padelab.blowup` -- the unbounded-antiderivative experiment on the
@@ -39,8 +39,6 @@ from .construct import (
     antiderivative_cascade,
     denominator_poles,
     laurent_coefficients,
-    perturb_polynomial,
-    perturb_rational,
     principal_parts,
     residue_correction,
     two_set_poly_fit,
@@ -86,7 +84,6 @@ from .series import (
     derivative_values,
     partial_sum,
     polynomial_gcd,
-    polynomial_resultant,
     rational_normalize,
     series_builtin,
     taylor_of_rational,

@@ -6,10 +6,10 @@ config produce byte-identical files (floats are written with Python's
 shortest round-trip repr).
 
 Exit codes: 0 success, 2 precondition error, 3 numeric failure, 64 usage.
-Text that does not parse (a number, a spec, the config file) is a usage
-error.  A value out of its range is a precondition error, whether it raises
-a typed PreconditionError or the ValueError or ArithmeticError of its first
-use.
+Text that does not parse (a number, a spec, the config file, an object in
+it or in a domain file of the wrong shape) is a usage error.  A value out
+of its range is a precondition error, whether it raises a typed
+PreconditionError or the ValueError or ArithmeticError of its first use.
 
 The argument parser is built once per process, on the first main() call,
 and reused by every later call; nothing in it is mutated by parsing, and
@@ -176,6 +176,14 @@ def _spec_numbers(spec: str, text: str) -> list[float]:
         raise UsageError(f"bad spec {spec!r}") from None
 
 
+def _from_data(from_data, data, what: str):
+    """``from_data(data)``; an object of the wrong shape is a usage error naming ``what``."""
+    try:
+        return from_data(data)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise UsageError(f"{what} is malformed: {type(exc).__name__}: {exc}") from None
+
+
 BUILTIN_RATIONALS = {
     "one-over-z": lambda: RationalFunction(Polynomial([1.0]), Polynomial([0.0, 1.0])),
     "one-over-z2": lambda: RationalFunction(Polynomial([1.0]), Polynomial([0.0, 0.0, 1.0])),
@@ -191,7 +199,7 @@ def resolve_rational(name: str, config: dict) -> RationalFunction:
         data = config.get("rationals", {}).get(name[len("config:"):])
         if data is None:
             raise UsageError(f"rational {name!r} not found in config")
-        return RationalFunction.from_data(data)
+        return _from_data(RationalFunction.from_data, data, f"rational {name!r}")
     if name in BUILTIN_RATIONALS:
         return BUILTIN_RATIONALS[name]()
     raise UsageError(f"unknown rational {name!r}")
@@ -203,7 +211,7 @@ def resolve_sample(spec: str, config: dict) -> CompactSample:
         data = config.get("samples", {}).get(spec[len("config:"):])
         if data is None:
             raise UsageError(f"sample {spec!r} not found in config")
-        return CompactSample.from_data(data)
+        return _from_data(CompactSample.from_data, data, f"sample {spec!r}")
     kind, _, rest = spec.partition(":")
     parts = _spec_numbers(spec, rest)
     if kind == "circle" and len(parts) == 4:
@@ -232,7 +240,7 @@ def resolve_domain(spec: str, config: dict) -> DomainSpec:
         data = config.get("domains", {}).get(spec[len("config:"):])
         if data is None:
             raise UsageError(f"domain {spec!r} not found in config")
-        return DomainSpec.from_data(data)
+        return _from_data(DomainSpec.from_data, data, f"domain {spec!r}")
     if spec.startswith("disc:"):
         parts = _spec_numbers(spec, spec[len("disc:"):])
         if len(parts) == 3:
@@ -243,7 +251,7 @@ def resolve_domain(spec: str, config: dict) -> DomainSpec:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read domain file {spec!r}: {exc}") from exc
-    return DomainSpec.from_data(data)
+    return _from_data(DomainSpec.from_data, data, f"domain file {spec!r}")
 
 
 MOMENT_FUNCTIONS = {

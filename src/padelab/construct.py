@@ -7,14 +7,12 @@ This module turns existence arguments into checkable computations:
   compact set and prescribed derivative values on another.  Success is
   gated by re-verification on refined samples; infeasibility is reported
   with the best residual instead of being papered over.
-* :func:`perturb_polynomial` / :func:`perturb_rational` -- the exact-degree
-  perturbations ``p + d z^p`` and ``(A + d z^T B)/B``; the perturbed
-  function has exact numerator degree, hence reproduces itself as its own
-  Pade approximant for the matching order pairs, or the call raises.
 * :func:`universality_certificate` -- measures, center by center, the
   normality witnesses, common-zero margins, chordal sup against a target
   on one sample and derivative sups against the function itself on
   another, and aggregates them into the two membership flags.
+  :func:`universality_pipeline` certifies a fit plus the target's singular
+  part once, at its own type, which the coefficient trim fixes.
 * :func:`principal_parts` / :func:`residue_correction` -- pole-local
   corrections: the first extracts the singular part of a rational function
   inside a region, the second removes the Laurent coefficients of orders
@@ -37,7 +35,6 @@ import numpy as np
 from .domains import CirclePath, path_integral
 from .errors import (
     DegeneratePadeError,
-    DegreeViolationError,
     FitFailureError,
     PerturbationDegenerateError,
     PoleNotInListError,
@@ -56,8 +53,6 @@ from .series import (
     modulus,
     polynomial_divmod,
     polynomial_gcd,
-    polynomial_resultant,
-    rational_normalize,
     taylor_of_rational,
     values_on,
 )
@@ -196,51 +191,6 @@ def _verify_on_refined(poly, k_sample, k_target, l_sample, l_orders, fallback: f
     return worst
 
 
-# --- exact-degree perturbations --------------------------------------------------
-
-
-def perturb_polynomial(poly: Polynomial, p: int, d: complex) -> Polynomial:
-    """p(z) + d z^p, p > deg p, of exact degree p; raises PerturbationDegenerateError when the trim drops d z^p."""
-    if d == 0:
-        raise PreconditionError("perturbation size d must be non-zero")
-    if poly.center != 0:
-        poly = poly.recentered(0.0)
-    if p <= poly.degree:
-        raise DegreeViolationError(f"need p > deg = {poly.degree}, got p = {p}")
-    result = poly + Polynomial.monomial(p, complex(d))
-    if result.degree < p:
-        raise PerturbationDegenerateError(f"the trim dropped d z^{p}; the result has degree {result.degree}")
-    return result
-
-
-def perturb_rational(rational: RationalFunction, p: int, d: complex) -> RationalFunction:
-    """(A + d z^T B)/B with T = p - deg B; exact numerator degree p.
-
-    Raises PerturbationDegenerateError when the trim or the normalizing gcd
-    removes d z^T B, or when the result fails the coprimality check.
-    """
-    if d == 0:
-        raise PreconditionError("perturbation size d must be non-zero")
-    num, den = rational.numerator, rational.denominator
-    if num.center != 0:
-        num, den = num.recentered(0.0), den.recentered(0.0)
-    t = p - den.degree
-    if t < 0:
-        raise PreconditionError(f"need p >= deg B = {den.degree}, got p = {p}")
-    new_num = num + Polynomial.monomial(t, complex(d)) * den
-    result = rational_normalize(new_num, den)
-    if result.numerator.degree < p:
-        raise PerturbationDegenerateError(f"the trim or the gcd removed d z^{t} B; numerator degree {result.numerator.degree}")
-    res = polynomial_resultant(result.numerator, result.denominator)
-    scale = (
-        result.numerator.coefficient_scale() ** result.denominator.degree
-        * result.denominator.coefficient_scale() ** result.numerator.degree
-    )
-    if result.denominator.degree > 0 and abs(res) <= 1e-12 * scale:
-        raise PerturbationDegenerateError("perturbed pair failed the coprimality check")
-    return result
-
-
 # --- universality certificate ----------------------------------------------------
 
 
@@ -321,6 +271,8 @@ def universality_certificate(
     Centers are processed one after another in sample order, so the
     certificate is deterministic.
     """
+    if s < 1:
+        raise PreconditionError(f"s must be at least 1, got {s}")
     ell_max = s if max_derivative_order is None else max_derivative_order
     k_points, delta_points = k_sample.points, delta_sample.points
     target_on_k = values_on(target, k_points)
@@ -415,10 +367,9 @@ def universality_pipeline(
     and certifies the sum once, at type (numerator degree, denominator
     degree); a rejection raises PerturbationDegenerateError.
 
-    The fit is not perturbed by d z^T.  On a seeded population of 150
-    targets the fit alone was accepted wherever the fit plus d z^T, d =
-    1e-3 tol / max(1, sup |z|^T), was, and in 18 runs more, where the
-    perturbed function failed normality.
+    The fit is certified without the paper's exact-degree perturbation:
+    the coefficient trim (``series.TRIM_RTOL``) already fixes its type (the
+    README gives the measurement).
 
     ``smooth_target`` must evaluate arrays of points and expose
     ``derivative()`` (Polynomial and RationalFunction both do).

@@ -40,10 +40,6 @@ class InvalidSampleError(PreconditionError):
     """A compact-set sample is empty or otherwise unusable."""
 
 
-class DegreeViolationError(PreconditionError):
-    """A perturbation degree does not exceed the polynomial degree."""
-
-
 class PoleNotInListError(PreconditionError):
     """A rational function has a pole outside the declared pole list."""
 
@@ -88,7 +84,11 @@ class FitFailureError(NumericError):
 
 
 class PerturbationDegenerateError(NumericError):
-    """A perturbation lost its exact degree or coprimality, or the universality certificate rejected."""
+    """The universality certificate rejected the fit.
+
+    Name and message date from the exact-degree perturbation; they stay
+    while the benchmark's two-pole failure signature matches the message.
+    """
 
 
 class QuadratureError(NumericError):

@@ -43,6 +43,7 @@ from .errors import (
     InsufficientSeriesError,
     InvalidDenominatorError,
     PoleAtCenterError,
+    PreconditionError,
     SingularCenterError,
 )
 
@@ -361,26 +362,6 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(f.coefficients / lead, f.center)
 
 
-def polynomial_resultant(a: Polynomial, b: Polynomial) -> complex:
-    """Sylvester-matrix resultant; zero iff the pair shares a root (exactly)."""
-    a._check_center(b)
-    m, n = a.degree, b.degree
-    if m < 0 or n < 0:
-        return 0j
-    if m == 0:
-        return complex(a.coefficients[0]) ** n
-    if n == 0:
-        return complex(b.coefficients[0]) ** m
-    syl = np.zeros((m + n, m + n), dtype=complex)
-    ac = a.coefficients[::-1]
-    bc = b.coefficients[::-1]
-    for i in range(n):
-        syl[i, i : i + m + 1] = ac
-    for i in range(m):
-        syl[n + i, i : i + n + 1] = bc
-    return complex(np.linalg.det(syl))
-
-
 class RationalFunction:
     """Coprime pair ``numerator / denominator`` with a monic denominator."""
 
@@ -514,17 +495,8 @@ class PowerSeries:
         return complex(self.coefficients[k])
 
     __call__ = Polynomial.__call__
-
-    def to_data(self) -> dict:
-        return {
-            "center": [self.center.real, self.center.imag],
-            "coefficients": [[c.real, c.imag] for c in self.coefficients],
-        }
-
-    @classmethod
-    def from_data(cls, data: dict) -> "PowerSeries":
-        center = complex(data["center"][0], data["center"][1])
-        return cls([complex(re, im) for re, im in data["coefficients"]], center)
+    to_data = Polynomial.to_data
+    from_data = classmethod(Polynomial.from_data.__func__)
 
     def __repr__(self):
         return f"PowerSeries(order={self.truncation_order}, center={self.center!r})"
@@ -574,6 +546,8 @@ def series_builtin(name: str, center: complex = 0.0, order: int = 10) -> PowerSe
     Supported names: ``exp``, ``log1m`` (log(1-z), principal branch) and
     ``geometric`` (1/(1-z)).  The latter two are singular at center 1.
     """
+    if order < 0:
+        raise PreconditionError(f"series order must be non-negative, got {order}")
     center = complex(center)
     n = np.arange(order + 1)
     if name == "exp":

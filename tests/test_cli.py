@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,9 +126,22 @@ class TestDispatch:
                     "--eps", "1e-30", "--out", str(tmp_path / "c.csv")]) == EXIT_NUMERIC
 
 
+# named config objects of the wrong shape, and one whose value is out of range
+MALFORMED_CONFIG = {
+    "rationals": {"empty": {}, "number": {"numerator": 3, "denominator": 1}},
+    "samples": {"empty": {}, "number": {"points": 5}},
+    "domains": {
+        "empty": {},
+        "disc-only": {"variant": "disc"},
+        "negative-disc": {"variant": "disc", "center": [0, 0], "radius": -1},
+    },
+}
+
+
 class TestNoTraceback:
-    # text that does not parse is a usage error, a value out of its range a
-    # precondition error; a non-finite complex is the point at infinity
+    # text that does not parse, or a config object of the wrong shape, is a
+    # usage error, a value out of its range a precondition error; a
+    # non-finite complex is the point at infinity
     @pytest.mark.parametrize("argv, code", [
         ("pade --builtin exp --p 1 --q 1 --center abc", EXIT_USAGE),
         ("universality --k-center zz", EXIT_USAGE),
@@ -133,13 +150,23 @@ class TestNoTraceback:
         ("moments --f one-over-z --cycle circle:0,0,x", EXIT_USAGE),
         ("cascade --domain disc:0,0,q", EXIT_USAGE),
         ("--config no-such-config.json volterra", EXIT_USAGE),
+        ("--config c.json chordal --f config:empty --g one-over-z --sample circle:0,0,1,8", EXIT_USAGE),
+        ("--config c.json chordal --f config:number --g one-over-z --sample circle:0,0,1,8", EXIT_USAGE),
+        ("--config c.json chordal --f one-over-z --g one-over-z --sample config:number", EXIT_USAGE),
+        ("--config c.json chordal --f one-over-z --g one-over-z --sample config:empty", EXIT_USAGE),
+        ("--config c.json cascade --domain config:disc-only", EXIT_USAGE),
+        ("--config c.json cascade --domain config:empty", EXIT_USAGE),
+        ("cascade --domain empty-domain.json", EXIT_USAGE),
+        ("--config c.json cascade --domain config:negative-disc", EXIT_PRECONDITION),
         ("moments --f one-over-z --cycle circle:0,0,-1", EXIT_PRECONDITION),
         ("cascade --domain disc:0,0,-1", EXIT_PRECONDITION),
         ("moments --f one-over-z --n 0", EXIT_PRECONDITION),
         ("pade --builtin exp --p -1 --q 1", EXIT_PRECONDITION),
         ("volterra --order -3", EXIT_PRECONDITION),
+        ("pade --builtin exp --p -3 --q 1", EXIT_PRECONDITION),
         ("divergence --eps-min 0 --eps-max 1e-2", EXIT_PRECONDITION),
         ("universality --s 0", EXIT_PRECONDITION),
+        ("universality --s -1", EXIT_PRECONDITION),
         ("cascade --grid 5", EXIT_PRECONDITION),
         ("chordal --a=-inf --b 0", EXIT_OK),
         ("chordal --a=infj --b 0", EXIT_OK),
@@ -148,6 +175,8 @@ class TestNoTraceback:
     ])
     def test_exit_code(self, argv, code, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps(MALFORMED_CONFIG))
+        (tmp_path / "empty-domain.json").write_text("{}")
         assert run(argv.split()) == code
         out, err = capsys.readouterr()
         if code == EXIT_OK:
@@ -326,3 +355,17 @@ class TestUniversalityCommand:
         cert = json.loads(out.read_text())
         assert len(cert["sup_derivative_errors_on_Delta"]) == 7
         assert cert["e_set_member"] is True and cert["t_set_member"] is True
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_main(self, tmp_path):
+        # the package's parent directory, so the child imports this checkout from any directory
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "padelab.cli", "pade", "--builtin", "exp", "--p", "1", "--q", "1"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        data = json.loads(done.stdout)
+        assert data["p"] == data["q"] == 1

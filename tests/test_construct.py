@@ -16,15 +16,10 @@ from padelab import (
     denominator_poles,
     disc_grid_sample,
     moment_test,
-    pade_construct,
     path_integral,
-    perturb_polynomial,
-    perturb_rational,
-    polynomial_resultant,
     principal_parts,
     residue_correction,
     series_builtin,
-    taylor_of_rational,
     two_set_poly_fit,
     universality_certificate,
     universality_pipeline,
@@ -32,7 +27,6 @@ from padelab import (
 )
 from padelab import construct
 from padelab.errors import (
-    DegreeViolationError,
     FitFailureError,
     IndeterminateValueError,
     PerturbationDegenerateError,
@@ -90,75 +84,6 @@ class TestTwoSetPolyFit:
             )
 
 
-class TestPerturbations:
-    def test_polynomial_perturbation_is_own_approximant(self):
-        base = Polynomial([1.0, 1.0])
-        perturbed = perturb_polynomial(base, 3, 1e-3)
-        assert np.allclose(perturbed.coefficients, [1, 1, 0, 1e-3])
-        series = PowerSeries(np.concatenate([perturbed.coefficients, [0, 0]]), 0.0)
-        approx = pade_construct(series, 3, 2)
-        assert approx.normal
-        # cross multiplication: numerator = perturbed * denominator
-        product = perturbed * approx.denominator
-        scale = np.abs(approx.numerator.coefficients).max()
-        assert np.allclose(
-            product.coefficients[: len(approx.numerator.coefficients)],
-            approx.numerator.coefficients,
-            atol=1e-12 * scale,
-        )
-
-    def test_perturbation_shrinks_linearly(self):
-        base = Polynomial([1.0, 1.0])
-        sample = circle_sample(0.0, 1.0, 32)
-        sups = []
-        for d in (1e-2, 1e-3, 1e-4):
-            pert = perturb_polynomial(base, 3, d)
-            sups.append(max(abs(pert(z) - base(z)) for z in sample.points))
-        assert abs(sups[0] / sups[1] - 10.0) < 1e-6
-        assert abs(sups[1] / sups[2] - 10.0) < 1e-6
-
-    def test_degree_violation_rejected(self):
-        with pytest.raises(DegreeViolationError):
-            perturb_polynomial(Polynomial([1.0, 1.0]), 1, 1e-3)
-
-    def test_trimmed_polynomial_perturbation_raises(self):
-        # 1e-14 z^3 is below TRIM_RTOL of the largest coefficient
-        with pytest.raises(PerturbationDegenerateError):
-            perturb_polynomial(Polynomial([1.0, 1.0]), 3, 1e-14)
-
-    def test_rational_perturbation_coprime(self):
-        r = rational([1.0], [1.0, -1.0])  # 1/(1-z), monic den (z-1) after normalize
-        perturbed = perturb_rational(r, 2, 0.01)
-        res = polynomial_resultant(perturbed.numerator, perturbed.denominator)
-        assert abs(res) > 1e-6
-        # the perturbation adds d z^T with T = p - deg B
-        t = 2 - r.denominator.degree
-        for z in (0.3, -0.5j):
-            assert abs(perturbed(z) - (r(z) + 0.01 * z**t)) < 1e-12
-
-    def test_rational_perturbation_degree_precondition(self):
-        r = rational([1.0], [0.0, 0.0, 1.0])  # 1/z^2
-        with pytest.raises(PreconditionError):
-            perturb_rational(r, 1, 0.01)
-
-    def test_trimmed_rational_perturbation_raises(self):
-        # (A + d z B)/B with d = 1e-15 keeps only A's constant term
-        with pytest.raises(PerturbationDegenerateError):
-            perturb_rational(rational([1.0], [1.0, -1.0]), 2, 1e-15)
-
-    def test_perturbed_rational_is_own_approximant(self):
-        perturbed = perturb_rational(rational([1.0], [1.0, -1.0]), 2, 0.01)
-        k = perturbed.numerator.degree
-        lam = perturbed.denominator.degree
-        for p, q in ((k, lam), (k + 1, lam), (k, lam + 2)):
-            series = taylor_of_rational(perturbed, 0.25, p + q)
-            approx = pade_construct(series, p, q)
-            assert approx.normal
-            for z in (0.1, -0.3 + 0.2j, 0.4j):
-                got = approx.numerator(z) / approx.denominator(z)
-                assert abs(got - perturbed(z)) < 1e-10
-
-
 class TestUniversalityCertificate:
     def test_rational_equal_to_own_approximant(self):
         phi = rational([1.0, 2.0], [1.0, -1.0])  # (1+2z)/(1-z)
@@ -182,6 +107,17 @@ class TestUniversalityCertificate:
         )
         assert not cert.e_set_member
         assert all(abs(h) < 1e-12 for h in cert.hankel_values)
+
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_s_below_one_rejected_before_any_approximant(self, s, monkeypatch):
+        def no_approximant(*args):
+            raise AssertionError("an approximant was built")
+
+        monkeypatch.setattr(construct, "pade_construct", no_approximant)
+        phi = rational([1.0, 2.0], [1.0, -1.0])
+        grid = disc_grid_sample(0.0, 0.3, 3)
+        with pytest.raises(PreconditionError, match=f"^s must be at least 1, got {s}$"):
+            universality_certificate(phi, grid, circle_sample(3.0, 0.5, 16), grid, phi, 1, 1, s)
 
 
 def universality_population(seed, count):

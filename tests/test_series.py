@@ -11,7 +11,6 @@ from padelab import (
     derivative_values,
     partial_sum,
     polynomial_gcd,
-    polynomial_resultant,
     rational_normalize,
     series_builtin,
     taylor_of_rational,
@@ -20,6 +19,7 @@ from padelab.errors import (
     InsufficientSeriesError,
     InvalidDenominatorError,
     PoleAtCenterError,
+    PreconditionError,
     SingularCenterError,
 )
 from padelab.series import polynomial_divmod
@@ -112,12 +112,6 @@ class TestRationalNormalize:
         assert np.allclose(once.numerator.coefficients, twice.numerator.coefficients)
         assert np.allclose(once.denominator.coefficients, twice.denominator.coefficients)
 
-    def test_resultant_detects_shared_root(self):
-        shared = poly(-0.5, 1)
-        res = polynomial_resultant(shared * poly(1, 1), shared * poly(2, 1))
-        assert abs(res) < 1e-10
-        res2 = polynomial_resultant(poly(1, 1), poly(2, 1))
-        assert abs(res2) > 0.5
 
 
 class TestDerivativeValues:
@@ -267,6 +261,11 @@ class TestSeriesBuiltin:
         with pytest.raises(SingularCenterError):
             series_builtin("log1m", 1.0, 3)
 
+    @pytest.mark.parametrize("name", ["exp", "log1m", "geometric"])
+    def test_negative_order_rejected(self, name):
+        with pytest.raises(PreconditionError, match="^series order must be non-negative, got -3$"):
+            series_builtin(name, 0.0, -3)
+
 
 class TestSerialization:
     def test_polynomial_roundtrip(self, rng):
@@ -283,5 +282,6 @@ class TestSerialization:
     def test_series_roundtrip(self, rng):
         s = PowerSeries(complex_normal(rng, 6), center=1j)
         s2 = PowerSeries.from_data(s.to_data())
+        assert type(s2) is PowerSeries
         assert s2.center == s.center
-        assert np.allclose(s2.coefficients, s.coefficients)
+        assert np.array_equal(s2.coefficients, s.coefficients)
