@@ -151,9 +151,12 @@ def load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config {path!r}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise UsageError(f"config {path!r} is not a JSON object")
+    return config
 
 
 def parse_complex(text: str) -> complex:
@@ -184,6 +187,17 @@ def _from_data(from_data, data, what: str):
         raise UsageError(f"{what} is malformed: {type(exc).__name__}: {exc}") from None
 
 
+def _from_config(from_data, config: dict, section: str, spec: str, what: str):
+    """``from_data`` of the object that ``config:name`` names in a config section."""
+    table = config.get(section, {})
+    if not isinstance(table, dict):
+        raise UsageError(f"config section {section!r} is not an object")
+    data = table.get(spec[len("config:"):])
+    if data is None:
+        raise UsageError(f"{what} not found in config")
+    return _from_data(from_data, data, what)
+
+
 BUILTIN_RATIONALS = {
     "one-over-z": lambda: RationalFunction(Polynomial([1.0]), Polynomial([0.0, 1.0])),
     "one-over-z2": lambda: RationalFunction(Polynomial([1.0]), Polynomial([0.0, 0.0, 1.0])),
@@ -196,10 +210,7 @@ BUILTIN_RATIONALS = {
 
 def resolve_rational(name: str, config: dict) -> RationalFunction:
     if name.startswith("config:"):
-        data = config.get("rationals", {}).get(name[len("config:"):])
-        if data is None:
-            raise UsageError(f"rational {name!r} not found in config")
-        return _from_data(RationalFunction.from_data, data, f"rational {name!r}")
+        return _from_config(RationalFunction.from_data, config, "rationals", name, f"rational {name!r}")
     if name in BUILTIN_RATIONALS:
         return BUILTIN_RATIONALS[name]()
     raise UsageError(f"unknown rational {name!r}")
@@ -208,10 +219,7 @@ def resolve_rational(name: str, config: dict) -> RationalFunction:
 def resolve_sample(spec: str, config: dict) -> CompactSample:
     """Sample spec: 'circle:cx,cy,r,n', 'disc-grid:cx,cy,r,side', 'segment:ax,ay,bx,by,n' or 'config:name'."""
     if spec.startswith("config:"):
-        data = config.get("samples", {}).get(spec[len("config:"):])
-        if data is None:
-            raise UsageError(f"sample {spec!r} not found in config")
-        return _from_data(CompactSample.from_data, data, f"sample {spec!r}")
+        return _from_config(CompactSample.from_data, config, "samples", spec, f"sample {spec!r}")
     kind, _, rest = spec.partition(":")
     parts = _spec_numbers(spec, rest)
     if kind == "circle" and len(parts) == 4:
@@ -237,10 +245,7 @@ def resolve_cycle(spec: str):
 def resolve_domain(spec: str, config: dict) -> DomainSpec:
     """Domain spec: 'config:name', a JSON file path, or 'disc:cx,cy,r'."""
     if spec.startswith("config:"):
-        data = config.get("domains", {}).get(spec[len("config:"):])
-        if data is None:
-            raise UsageError(f"domain {spec!r} not found in config")
-        return _from_data(DomainSpec.from_data, data, f"domain {spec!r}")
+        return _from_config(DomainSpec.from_data, config, "domains", spec, f"domain {spec!r}")
     if spec.startswith("disc:"):
         parts = _spec_numbers(spec, spec[len("disc:"):])
         if len(parts) == 3:

@@ -99,8 +99,9 @@ def two_set_poly_fit(
     ``l_targets`` is a list over derivative orders 0..N of arrays or
     callables on ``l_sample``.  A callable is called once on the whole
     array of sample points (see :func:`padelab.series.values_on`).  The
-    search runs degree 0..max_degree and accepts the first degree whose
-    max residual over all constraints is <= tol; when the samples carry
+    search runs degree 0, 1, ... up to max_degree or to the highest degree
+    the constraint rows determine, if lower, and accepts the first whose max
+    residual over all constraints is <= tol; when the samples carry
     refinement generators and the targets are callables, acceptance is
     re-verified on 4x refined samples.
 
@@ -113,7 +114,7 @@ def two_set_poly_fit(
     with a pole very close to one sample set), the reported residual is
     the honest least-squares optimum, and the fit fails.
     """
-    if k_sample is None and l_sample is None:
+    if k_sample is None and (l_sample is None or not l_targets):
         raise PreconditionError("at least one constraint set is required")
     k_points = k_sample.points if k_sample is not None else np.zeros(0, dtype=complex)
     l_points = l_sample.points if l_sample is not None else np.zeros(0, dtype=complex)
@@ -143,8 +144,9 @@ def two_set_poly_fit(
             worst = max(worst, _max_error(poly.derivative(order), l_points, values))
         return worst
 
-    best_res, best_deg, best_poly = math.inf, -1, None
-    for degree in range(0, max_degree + 1):
+    cap = min(max_degree, len(k_points) + len(l_values) * len(l_points) - 1)
+    best_res, best_deg = math.inf, -1
+    for degree in range(0, cap + 1):
         a, b = assemble(degree)
         col_norms = np.linalg.norm(a, axis=0)
         col_norms[col_norms == 0] = 1.0
@@ -159,14 +161,15 @@ def two_set_poly_fit(
         poly = Polynomial(coeffs_basis / scale ** np.arange(degree + 1), shift).recentered(0.0)
         res = residual_of(poly)
         if res < best_res:
-            best_res, best_deg, best_poly = res, degree, poly
+            best_res, best_deg = res, degree
         if res <= tol:
             verified = _verify_on_refined(poly, k_sample, k_target, l_sample, l_orders, res)
             if verified <= tol:
                 return poly, FitReport(degree, res, verified)
-            best_res, best_deg, best_poly = verified, degree, poly
+            best_res, best_deg = verified, degree
+    limit = f"{cap}" if cap == max_degree else f"{cap} (the most that {cap + 1} constraint rows determine)"
     raise FitFailureError(
-        f"no polynomial of degree <= {max_degree} meets tol {tol:g}; "
+        f"no polynomial of degree <= {limit} meets tol {tol:g}; "
         f"best residual {best_res:.6g} at degree {best_deg}",
         best_residual=best_res,
         best_degree=best_deg,
@@ -437,7 +440,7 @@ def denominator_poles(rational: RationalFunction) -> list[tuple[complex, int]]:
         if c_next.degree > 0:
             quot, _ = polynomial_divmod(c_k, c_next)
         roots = np.roots(quot.coefficients[::-1]) if quot.degree > 0 else np.zeros(0, complex)
-        if not np.all(np.isfinite(roots.view(float))):
+        if not np.all(np.isfinite(roots)):
             raise RootFindingError("denominator root finding returned non-finite roots")
         level_roots.append(roots)
 

@@ -10,8 +10,8 @@ q >= 1 it exists and is unique exactly when the q x q Hankel determinant
 
 is non-zero ("normality").  The construction used here expands the classical
 determinant formula along its first row: the q+1 numeric cofactors are
-computed by LU factorization and combined with the polynomial first-row
-entries
+computed by LU factorization, in double on every platform, and combined
+with the polynomial first-row entries
 
     numerator   first row:  (w^q S_{p-q}(w), w^{q-1} S_{p-q+1}(w), ..., S_p(w))
     denominator first row:  (w^q,            w^{q-1},              ..., 1)
@@ -62,26 +62,16 @@ NORMALITY_RTOL = 1e-10
 # |A|^2 + |B|^2 counts as clear of a common zero above (COMMON_ZERO_RTOL * s)^2.
 COMMON_ZERO_RTOL = 1e-10
 
-# Extended-precision complex dtype for the determinant kernel (80-bit on
-# x86-64; falls back to double where the platform lacks one).
-_CLONG = getattr(np, "complex256", complex)
 
-
-def _lu_determinant(matrix: np.ndarray):
-    """Determinant by LU with partial pivoting in extended precision.
-
-    The cofactor construction divides by nothing, but its output feeds a
-    series division by the (possibly small) Hankel value; the extra
-    mantissa bits here keep that quotient accurate near the normality
-    cutoff.
-    """
-    a = np.array(matrix, dtype=_CLONG)
+def _lu_determinant(matrix: np.ndarray) -> complex:
+    """Determinant by LU with partial pivoting, in double."""
+    a = np.array(matrix, dtype=complex)
     n = a.shape[0]
-    det = _CLONG(1.0)
+    det = 1.0 + 0j
     for k in range(n):
         pivot = k + int(np.argmax(np.abs(a[k:, k])))
         if a[pivot, k] == 0:
-            return _CLONG(0.0)
+            return 0j
         if pivot != k:
             a[[k, pivot]] = a[[pivot, k]]
             det = -det
@@ -89,7 +79,7 @@ def _lu_determinant(matrix: np.ndarray):
         for i in range(k + 1, n):
             factor = a[i, k] / a[k, k]
             a[i, k + 1 :] -= factor * a[k, k + 1 :]
-    return det
+    return complex(det)
 
 
 def _coefficient_block(series: PowerSeries, p: int, q: int, columns: int) -> np.ndarray:
@@ -119,7 +109,7 @@ def hankel_determinant(series: PowerSeries, p: int, q: int) -> complex:
             f"Hankel({p},{q}) needs coefficients through {p + q - 1}, "
             f"series truncated at {series.truncation_order}"
         )
-    return complex(_lu_determinant(_coefficient_block(series, p, q, q)))
+    return _lu_determinant(_coefficient_block(series, p, q, q))
 
 
 @dataclass(frozen=True)
@@ -229,25 +219,20 @@ def pade_construct(series: PowerSeries, p: int, q: int) -> PadeApproximant:
     block = _coefficient_block(series, p, q, q + 1)
     minors = [_lu_determinant(np.delete(block, j, axis=1)) for j in range(q + 1)]
 
-    # Accumulate numerator = sum_j c_j w^{q-j} S_{p-q+j} and denominator
-    # = sum_j c_j w^{q-j} in extended precision; every term has degree <= p
-    # (resp. q), so one final rounding to double is the only precision loss.
-    num_acc = np.zeros(p + 1, dtype=_CLONG)
-    den_acc = np.zeros(q + 1, dtype=_CLONG)
-    coeffs_ext = series.coefficients.astype(_CLONG)
+    # numerator = sum_j c_j w^{q-j} S_{p-q+j}, denominator = sum_j c_j w^{q-j}.
+    num_acc = np.zeros(p + 1, dtype=complex)
+    den_acc = np.zeros(q + 1, dtype=complex)
     for j, minor in enumerate(minors):
         cofactor = (-1.0) ** j * minor
-        if cofactor == 0:
-            continue
         den_acc[q - j] += cofactor
         k = p - q + j
         if k >= 0:
-            num_acc[q - j : q - j + k + 1] += cofactor * coeffs_ext[: k + 1]
-    num = Polynomial(num_acc.astype(complex), center)
-    den = Polynomial(den_acc.astype(complex), center)
+            num_acc[q - j : q - j + k + 1] += cofactor * series.coefficients[: k + 1]
+    num = Polynomial(num_acc, center)
+    den = Polynomial(den_acc, center)
     if num.is_zero and den.is_zero:
         raise DegeneratePadeError(f"all ({p},{q}) determinant polynomials vanish")
-    norm = _normality_of(series, p, q, complex(minors[q]))
+    norm = _normality_of(series, p, q, minors[q])
     return PadeApproximant(p, q, center, num, den, norm.determinant, norm.is_normal)
 
 

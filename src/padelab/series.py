@@ -62,7 +62,7 @@ def _as_coeff_array(coefficients) -> np.ndarray:
         arr = arr.reshape(1)
     if arr.size == 0:
         arr = np.zeros(1, dtype=complex)
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.all(np.isfinite(arr)):
         raise ValueError("coefficients must be finite")
     return arr
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+# Long double for the test oracle divide_series_ext only; the library
+# computes in double on every platform.
 COMPLEX_EXT = getattr(np, "complex256", complex)
 
 
@@ -17,8 +19,9 @@ def complex_normal(rng, n):
 def divide_series_ext(num, den, order):
     """Oracle: Taylor coefficients of num/den by the convolution recurrence.
 
-    Runs in extended precision so it measures the coefficient pair itself
-    rather than double-precision recurrence roundoff.
+    Runs in long double where the platform has one, so it measures the
+    coefficient pair itself rather than double-precision recurrence
+    roundoff.  It is a test oracle, not a library path.
     """
     a = np.zeros(order + 1, dtype=COMPLEX_EXT)
     nc = num.coefficients.astype(COMPLEX_EXT)

@@ -157,6 +157,10 @@ class TestNoTraceback:
         ("--config c.json cascade --domain config:disc-only", EXIT_USAGE),
         ("--config c.json cascade --domain config:empty", EXIT_USAGE),
         ("cascade --domain empty-domain.json", EXIT_USAGE),
+        ("--config list.json chordal --f config:x --g one-over-z --sample circle:0,0,1,8", EXIT_USAGE),
+        ("--config sections.json chordal --f config:x --g one-over-z --sample circle:0,0,1,8", EXIT_USAGE),
+        ("--config sections.json chordal --f one-over-z --g one-over-z --sample config:s", EXIT_USAGE),
+        ("--config sections.json cascade --domain config:d", EXIT_USAGE),
         ("--config c.json cascade --domain config:negative-disc", EXIT_PRECONDITION),
         ("moments --f one-over-z --cycle circle:0,0,-1", EXIT_PRECONDITION),
         ("cascade --domain disc:0,0,-1", EXIT_PRECONDITION),
@@ -177,6 +181,8 @@ class TestNoTraceback:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "c.json").write_text(json.dumps(MALFORMED_CONFIG))
         (tmp_path / "empty-domain.json").write_text("{}")
+        (tmp_path / "list.json").write_text("[]")
+        (tmp_path / "sections.json").write_text(json.dumps({"rationals": 3, "samples": [], "domains": "x"}))
         assert run(argv.split()) == code
         out, err = capsys.readouterr()
         if code == EXIT_OK:
@@ -355,6 +361,18 @@ class TestUniversalityCommand:
         cert = json.loads(out.read_text())
         assert len(cert["sup_derivative_errors_on_Delta"]) == 7
         assert cert["e_set_member"] is True and cert["t_set_member"] is True
+
+    def test_pole_on_the_k_boundary_is_a_precondition_error(self, capsys):
+        # the target's pole 2 lies on the circle |z - 1| = 1
+        assert run(["universality", "--k-center", "1", "--k-radius", "1"]) == EXIT_PRECONDITION
+        assert capsys.readouterr().err == "precondition error: pole (2-0j) lies on the region boundary\n"
+
+    def test_fit_beyond_its_rows_is_a_numeric_failure(self, capsys):
+        # 12 constraint rows determine a polynomial of degree <= 11 at most
+        argv = ["universality", "--k-sample", "circle:2,0,0.25,4", "--grid", "disc-grid:0,0,0.5,2", "--tol", "1e-9"]
+        assert run(argv) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: no polynomial of degree <= 11 (the most that 12 constraint rows determine)")
 
 
 class TestModuleEntryPoint:

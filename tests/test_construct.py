@@ -31,6 +31,7 @@ from padelab.errors import (
     IndeterminateValueError,
     PerturbationDegenerateError,
     PoleNotInListError,
+    PoleOnBoundaryError,
     PreconditionError,
 )
 
@@ -82,6 +83,24 @@ class TestTwoSetPolyFit:
             two_set_poly_fit(
                 k, lambda z: 5.0, grid, [lambda z: -5.0], max_degree=1, tol=0.1
             )
+
+    def test_search_stops_at_the_degrees_the_rows_determine(self):
+        # 4 points on K plus values and derivatives at 4 centres: 12 rows
+        # determine degree <= 11, below the cap of 40
+        k = circle_sample(2.0, 0.25, 4)
+        grid = disc_grid_sample(0.0, 0.5, 2)
+        assert len(k) == 4 and len(grid) == 4
+        with pytest.raises(FitFailureError, match=r"degree <= 11 \(the most that 12 constraint rows determine\)") as err:
+            two_set_poly_fit(
+                k, lambda z: 1.0 / (z - 1.4), grid, [lambda z: z * z, lambda z: 2 * z],
+                max_degree=40, tol=1e-9,
+            )
+        assert err.value.best_degree == 11
+
+    @pytest.mark.parametrize("l_sample", [None, disc_grid_sample(0.0, 0.5, 2)])
+    def test_no_constraint_rows_rejected(self, l_sample):
+        with pytest.raises(PreconditionError, match="^at least one constraint set is required$"):
+            two_set_poly_fit(None, None, l_sample, [], max_degree=5, tol=0.1)
 
 
 class TestUniversalityCertificate:
@@ -220,6 +239,10 @@ class TestPrincipalParts:
         mu = principal_parts(r, (2.0, 1.0))
         for z in (2.5, 2.0 + 0.4j):
             assert abs(mu(z) - r(z)) < 1e-10
+
+    def test_pole_on_the_boundary_rejected(self):
+        with pytest.raises(PoleOnBoundaryError, match=r"^pole \(3-0j\) lies on the region boundary$"):
+            principal_parts(rational([1.0], [-3.0, 1.0]), (2.0, 1.0))
 
     def test_winding_number_region(self):
         r = rational([1.0], [-2.0, 1.0]) + rational([1.0], [5.0, 1.0])

@@ -267,6 +267,26 @@ class TestSeriesBuiltin:
             series_builtin(name, 0.0, -3)
 
 
+class TestCoefficientArrays:
+    def test_reversed_view(self):
+        coeffs = np.arange(3, dtype=complex)[::-1]
+        assert Polynomial(coeffs).coefficients.tolist() == [2, 1]
+
+    def test_stepped_slice(self):
+        coeffs = np.arange(6, dtype=complex)
+        assert PowerSeries(coeffs[::2]).coefficients.tolist() == [0, 2, 4]
+
+    @pytest.mark.parametrize("bad", [
+        complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 0.0), complex(0.0, math.nan),
+    ])
+    @pytest.mark.parametrize("kind", [Polynomial, PowerSeries])
+    def test_non_finite_part_rejected(self, kind, bad):
+        coeffs = np.array([1.0, bad, 2.0, 0.0], dtype=complex)
+        for arr in (coeffs, coeffs[::-1]):
+            with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                kind(arr)
+
+
 class TestSerialization:
     def test_polynomial_roundtrip(self, rng):
         p = Polynomial(complex_normal(rng, 5), center=0.2 - 0.4j)
