@@ -7,10 +7,12 @@ This module turns existence arguments into checkable computations:
   compact set and prescribed derivative values on another.  Success is
   gated by re-verification on refined samples; infeasibility is reported
   with the best residual instead of being papered over.
-* :func:`universality_certificate` -- measures, center by center, the
-  normality witnesses, common-zero margins, chordal sup against a target
-  on one sample and derivative sups against the function itself on
-  another, and aggregates them into the two membership flags.
+* :func:`universality_certificate` -- builds the Pade approximant at every
+  sampled center, then measures all of them in one pass over
+  (center, point) arrays: the normality witnesses, common-zero margins,
+  chordal sup against a target on one sample and derivative sups against
+  the function itself on another, aggregated into the two membership
+  flags.
   :func:`universality_pipeline` certifies a fit plus the target's singular
   part once, at its own type, which the coefficient trim fixes.
 * :func:`principal_parts` / :func:`residue_correction` -- pole-local
@@ -36,6 +38,7 @@ from .domains import CirclePath, path_integral
 from .errors import (
     DegeneratePadeError,
     FitFailureError,
+    InvalidSampleError,
     PerturbationDegenerateError,
     PoleNotInListError,
     PoleOnBoundaryError,
@@ -43,16 +46,18 @@ from .errors import (
     RootFindingError,
     VerificationError,
 )
-from .pade import common_zero_margin, evaluate_extended_array, normality, pade_construct
+from .pade import _common_zero_values, _extended_values, normality, pade_construct
 from .samples import CompactSample
 from .series import (
     Polynomial,
     PowerSeries,
     RationalFunction,
-    derivative_values,
+    _derivative_values,
+    _horner,
     modulus,
     polynomial_divmod,
     polynomial_gcd,
+    _stacked,
     taylor_of_rational,
     values_on,
 )
@@ -263,56 +268,41 @@ def universality_certificate(
     is evaluated once on the array of K points (see
     :func:`padelab.series.values_on`) and compared through the chordal
     metric.  At every center the (p, q) approximant is built from the
-    local Taylor series; sups over K and the derivative sample are
-    per-center maxima over whole sample arrays.
-    Derivative errors compare the approximant's derivatives against f's
-    for orders 0..max_derivative_order (default s).  Both are evaluated on
-    the derivative sample by :func:`padelab.series.derivative_values`,
-    from the approximant's numerator and denominator as built; f's once
-    per certificate.
+    local Taylor series.  Derivative errors compare the approximant's
+    derivatives against f's for orders 0..max_derivative_order (default
+    s), both by the Leibniz recurrence of
+    :func:`padelab.series.derivative_values`: the approximant's from its
+    numerator and denominator as built, f's once per certificate.
 
-    Centers are processed one after another in sample order, so the
-    certificate is deterministic.
+    The approximants are built one after another in sample order.  They
+    are then evaluated together, as ``(centers, points)`` arrays with the
+    bits of a per-center evaluation, and every margin and sup is a
+    reduction along the point axis.  A tie in a reduction goes to the
+    first point, so the certificate is deterministic.  A center whose
+    construction is degenerate records a rejecting row.
     """
     if s < 1:
         raise PreconditionError(f"s must be at least 1, got {s}")
+    if min(len(centers), len(k_sample), len(delta_sample)) == 0:
+        raise InvalidSampleError("empty sample")
     ell_max = s if max_derivative_order is None else max_derivative_order
     k_points, delta_points = k_sample.points, delta_sample.points
     target_on_k = values_on(target, k_points)
-    f_derivs_on_delta = derivative_values(f.numerator, f.denominator, delta_points, ell_max)
 
-    def record_for(zeta: complex) -> CenterRecord:
+    records, approximants = [], []
+    for zeta in centers.points:
         series = f.taylor_at(zeta, p + q)
         try:
-            approx = pade_construct(series, p, q)
+            approximants.append(pade_construct(series, p, q))
+            records.append(None)
         except DegeneratePadeError:
-            return CenterRecord(
+            records.append(CenterRecord(
                 complex(zeta), normality(series, p, q).determinant, False, 0.0, 0.0, math.inf,
                 tuple([math.inf] * (ell_max + 1)),
-            )
-        margin_k = common_zero_margin(approx, k_sample)
-        margin_d = common_zero_margin(approx, delta_sample)
-        # evaluation raises exactly where the K margin is not clear; record a rejecting sup
-        chordal_sup = (
-            float(np.max(chordal_array(evaluate_extended_array(approx, k_points), target_on_k)))
-            if margin_k.clear
-            else math.inf
-        )
-        approx_derivs = derivative_values(approx.numerator, approx.denominator, delta_points, ell_max)
-        deriv_sups = [
-            np.max(modulus(a - fd)) for a, fd in zip(approx_derivs, f_derivs_on_delta)
-        ]
-        return CenterRecord(
-            complex(zeta),
-            approx.hankel_value,
-            approx.normal,
-            margin_k.min_value if margin_k.clear else 0.0,
-            margin_d.min_value if margin_d.clear else 0.0,
-            chordal_sup,
-            tuple(deriv_sups),
-        )
-
-    records = [record_for(zeta) for zeta in centers.points]
+            ))
+    if approximants:
+        measured = iter(_measured_records(f, approximants, k_points, delta_points, target_on_k, ell_max))
+        records = [next(measured) if r is None else r for r in records]
 
     all_normal = all(r.normal for r in records)
     e_on_k = all(r.margin_on_k > 0 for r in records)
@@ -338,6 +328,42 @@ def universality_certificate(
         ),
         records=tuple(records),
     )
+
+
+def _measured_records(f, approximants, k_points, delta_points, target_on_k, ell_max):
+    """The records of C approximants of f, measured in one pass over all of them.
+
+    Their numerators and denominators are stacked as zero-padded rows, so
+    every value is a ``(C, P)`` array with the bits of the per-approximant
+    evaluation, and every margin and sup is a reduction along the point
+    axis.  f's derivatives are one more row of the stack.
+    """
+    num, centers = _stacked([approx.numerator for approx in approximants] + [f.numerator])
+    den, _ = _stacked([approx.denominator for approx in approximants] + [f.denominator])
+    scales = np.array([[approx.scale()] for approx in approximants])
+    k = len(k_points)
+    points = np.concatenate([k_points, delta_points])
+    a, b = _horner(num[:-1], centers[:-1], points), _horner(den[:-1], centers[:-1], points)
+    values, threshold = _common_zero_values(scales, a, b)
+    # a margin is positive exactly where its sample is clear of a common zero
+    margin_k, margin_delta = (
+        np.where(least > threshold[:, 0], least, 0.0)
+        for least in (values[:, :k].min(axis=1), values[:, k:].min(axis=1))
+    )
+    # evaluation raises exactly where the K margin is not clear; record a rejecting sup
+    clear = margin_k > 0
+    chordal_sup = np.full(len(approximants), math.inf)
+    on_k = _extended_values(k_points, a[clear, :k], b[clear, :k], values[clear, :k], threshold[clear])
+    chordal_sup[clear] = np.max(chordal_array(on_k, target_on_k), axis=1)
+    derivs = _derivative_values(num, den, centers, delta_points, ell_max)
+    deriv_sups = np.array([np.max(modulus(d[:-1] - d[-1]), axis=1) for d in derivs])
+    return [
+        CenterRecord(
+            approx.center, approx.hankel_value, approx.normal, float(margin_k[c]),
+            float(margin_delta[c]), float(chordal_sup[c]), tuple(deriv_sups[:, c]),
+        )
+        for c, approx in enumerate(approximants)
+    ]
 
 
 @dataclass(frozen=True)
@@ -439,9 +465,9 @@ def denominator_poles(rational: RationalFunction) -> list[tuple[complex, int]]:
         quot = c_k
         if c_next.degree > 0:
             quot, _ = polynomial_divmod(c_k, c_next)
+        # the trim keeps every coefficient below 1e13 times the leading one, so the
+        # companion matrix is finite and so are its eigenvalues
         roots = np.roots(quot.coefficients[::-1]) if quot.degree > 0 else np.zeros(0, complex)
-        if not np.all(np.isfinite(roots)):
-            raise RootFindingError("denominator root finding returned non-finite roots")
         level_roots.append(roots)
 
     merged: list[complex] = []

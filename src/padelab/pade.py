@@ -249,11 +249,15 @@ class CommonZeroMargin:
         return self.clear
 
 
-def _common_zero_values(approx: PadeApproximant, a: np.ndarray, b: np.ndarray):
-    """``|A|^2 + |B|^2`` at the values ``a``, ``b`` of the pair, and the
+def _common_zero_values(scale, a: np.ndarray, b: np.ndarray):
+    """``|A|^2 + |B|^2`` at the values ``a``, ``b`` of a pair, and the
     threshold ``(COMMON_ZERO_RTOL * s)^2`` that a point clear of a common
-    zero exceeds."""
-    return square(modulus(a)) + square(modulus(b)), (COMMON_ZERO_RTOL * approx.scale()) ** 2
+    zero exceeds, s the pair's coefficient scale.
+
+    For C pairs, ``a`` and ``b`` are ``(C, P)`` and ``scale`` is ``(C, 1)``:
+    one threshold per row.
+    """
+    return square(modulus(a)) + square(modulus(b)), square(COMMON_ZERO_RTOL * scale)
 
 
 def common_zero_margin(approx: PadeApproximant, sample: CompactSample) -> CommonZeroMargin:
@@ -264,10 +268,27 @@ def common_zero_margin(approx: PadeApproximant, sample: CompactSample) -> Common
     if len(sample) == 0:
         raise InvalidSampleError("empty sample")
     points = sample.points
-    values, threshold = _common_zero_values(approx, approx.numerator(points), approx.denominator(points))
+    values, threshold = _common_zero_values(
+        approx.scale(), approx.numerator(points), approx.denominator(points)
+    )
     i = int(np.argmin(values))
-    best = float(values[i])
+    best, threshold = float(values[i]), float(threshold)
     return CommonZeroMargin(best, threshold, complex(points[i]), best > threshold)
+
+
+def _extended_values(z, a: np.ndarray, b: np.ndarray, values: np.ndarray, threshold) -> np.ndarray:
+    """A/B, or ``inf`` where B is exactly zero, from the values of
+    :func:`_common_zero_values` (one pair, or rows of pairs at points ``z``).
+
+    Raises IndeterminateValueError, naming the first point in row order that
+    is not clear of a common zero.
+    """
+    indeterminate = ~(values > threshold)
+    if indeterminate.any():
+        bad = np.broadcast_to(z, values.shape).flat[np.argmax(indeterminate)]
+        raise IndeterminateValueError(f"numerator and denominator both vanish at {bad}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(b == 0, math.inf, a / b)
 
 
 def evaluate_extended_array(approx: PadeApproximant, z: np.ndarray) -> np.ndarray:
@@ -279,13 +300,7 @@ def evaluate_extended_array(approx: PadeApproximant, z: np.ndarray) -> np.ndarra
     :func:`common_zero_margin`.
     """
     a, b = approx.numerator(z), approx.denominator(z)
-    values, threshold = _common_zero_values(approx, a, b)
-    indeterminate = ~(values > threshold)
-    if indeterminate.any():
-        bad = z[np.argmax(indeterminate)]
-        raise IndeterminateValueError(f"numerator and denominator both vanish at {bad}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(b == 0, math.inf, a / b)
+    return _extended_values(z, a, b, *_common_zero_values(approx.scale(), a, b))
 
 
 def evaluate_extended(approx: PadeApproximant, z: complex) -> complex:

@@ -27,6 +27,12 @@ scalar ``abs(z)`` and ``x ** 2`` with the same rounding,
 and :func:`derivative_values` gives the derivatives of a quotient of
 polynomials on an array by the Leibniz rule, without forming them.
 
+The Horner kernel and the Leibniz recurrence also take a leading centre
+axis: C coefficient rows about C centres (:func:`_stacked`, zero-padded to
+one length) at P points give ``(C, P)`` values, each row with the bits of
+its own evaluation.  The universality certificate evaluates the Pade
+approximants of all its centres this way, in one pass.
+
 A point of the extended plane is a ``complex``, and one with any non-finite
 part (``inf`` or ``nan``) is the point at infinity: the one-infinity model of
 C99 Annex G, with a NaN part counted as infinite too.
@@ -67,19 +73,60 @@ def _as_coeff_array(coefficients) -> np.ndarray:
     return arr
 
 
-def _trimmed(arr: np.ndarray) -> np.ndarray:
+def _trimmed_lengths(arr: np.ndarray) -> np.ndarray:
+    """Length of each coefficient row (the last axis) once the trailing
+    coefficients with ``|c| <= TRIM_RTOL * max |c|`` of the row are dropped;
+    0 for a zero row."""
     mags = np.abs(arr)
-    scale = float(mags.max(initial=0.0))
-    if scale == 0.0:
-        return np.zeros(1, dtype=complex)
-    keep = np.nonzero(mags > TRIM_RTOL * scale)[0]
-    if keep.size == 0:
-        return np.zeros(1, dtype=complex)
-    return arr[: keep[-1] + 1].copy()
+    scale = mags.max(-1, keepdims=True)
+    lengths = arr.shape[-1] - (mags > TRIM_RTOL * scale)[..., ::-1].argmax(-1)
+    return lengths * (scale[..., 0] > 0)
 
 
-def _horner(coefficients: np.ndarray, center: complex, z: np.ndarray) -> np.ndarray:
+def _trimmed(arr: np.ndarray) -> np.ndarray:
+    n = int(_trimmed_lengths(arr))
+    if n == 0:
+        return np.zeros(1, dtype=complex)
+    return arr[:n].copy()
+
+
+def _trimmed_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row trimmed as :func:`_trimmed` trims a polynomial's
+    coefficients, and zero-padded back to the common length.
+
+    Horner evaluation of a zero-padded row gives the bits of the trimmed
+    row: a leading zero coefficient leaves the accumulator at ``+0``.
+    """
+    return np.where(np.arange(rows.shape[-1]) < _trimmed_lengths(rows)[..., None], rows, 0)
+
+
+def _differentiated(coefficients: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients of the order-th derivative of each row (the last axis),
+    untrimmed."""
+    for _ in range(order):
+        if coefficients.shape[-1] == 1:
+            return np.zeros_like(coefficients)
+        coefficients = coefficients[..., 1:] * np.arange(1, coefficients.shape[-1])
+    return coefficients
+
+
+def _stacked(polynomials) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient rows ``(C, n+1)`` of C polynomials, zero-padded to a
+    common length, and their centres ``(C,)``: the centre axis that
+    :func:`_horner` and :func:`_derivative_values` take."""
+    rows = np.zeros((len(polynomials), max(len(p.coefficients) for p in polynomials)), dtype=complex)
+    for row, poly in zip(rows, polynomials):
+        row[: len(poly.coefficients)] = poly.coefficients
+    return rows, np.array([p.center for p in polynomials], dtype=complex)
+
+
+def _horner(coefficients: np.ndarray, center, z: np.ndarray) -> np.ndarray:
     """Horner evaluation of ``sum c_k (z - center)^k`` at every point of ``z``.
+
+    Coefficients ``(n+1,)`` about one centre give values of the shape of
+    ``z``.  Coefficients ``(C, n+1)`` about centres ``(C,)``, at points
+    ``(P,)``, give ``(C, P)``: row r is polynomial r, with the bits of its own
+    evaluation without the centre axis.
 
     The complex product is written out in real and imaginary parts, in the
     order of the scalar complex multiply, and the sum starts from zero as
@@ -87,12 +134,17 @@ def _horner(coefficients: np.ndarray, center: complex, z: np.ndarray) -> np.ndar
     multiply may fuse or reorder that arithmetic, so the two agree bit for
     bit only in this form.
     """
-    w = z - center
+    if coefficients.ndim == 2:
+        w = z - center[:, None]
+        cr, ci = coefficients.real.T[::-1, :, None], coefficients.imag.T[::-1, :, None]
+    else:
+        w = z - center
+        cr, ci = coefficients.real[::-1].tolist(), coefficients.imag[::-1].tolist()
     wr, wi = w.real.copy(), w.imag.copy()
     ar = np.zeros(w.shape)
     ai = np.zeros(w.shape)
-    for cr, ci in zip(coefficients.real[::-1].tolist(), coefficients.imag[::-1].tolist()):
-        ar, ai = ar * wr - ai * wi + cr, ar * wi + ai * wr + ci
+    for c_re, c_im in zip(cr, ci):
+        ar, ai = ar * wr - ai * wi + c_re, ar * wi + ai * wr + c_im
     out = np.empty(w.shape, dtype=complex)
     out.real, out.imag = ar, ai
     return out
@@ -148,16 +200,33 @@ def derivative_values(
     :func:`array_quotient`.  Like it, a zero denominator gives non-finite
     entries without a warning.
     """
-    num_derivs = [numerator.derivative(k)(z) for k in range(order + 1)]
-    # D^(k) vanishes for k > deg D, so those terms are left out of the sum
-    top = min(order, max(denominator.degree, 0))
-    den_derivs = [denominator.derivative(k)(z) for k in range(top + 1)]
+    numerator._check_center(denominator)
+    return _derivative_values(
+        numerator.coefficients, denominator.coefficients, numerator.center, z, order
+    )
+
+
+def _derivative_values(numerator, denominator, center, z, order: int) -> list[np.ndarray]:
+    """The recurrence of :func:`derivative_values` on coefficient arrays:
+    one pair about one centre, or pairs of rows about centres ``(C,)`` at
+    points ``(P,)``, giving ``(C, P)`` values per order (see :func:`_horner`)."""
+
+    def derivative_at_points(coefficients, k):
+        return _horner(_trimmed_rows(_differentiated(coefficients, k)), center, z)
+
+    num_derivs = [derivative_at_points(numerator, k) for k in range(order + 1)]
+    degree = _trimmed_lengths(denominator) - 1
+    # D^(k) vanishes for k > deg D, so those terms are left out of the sum, row
+    # by row: where a row's values are infinite, 0 * inf would add NaN
+    top = min(order, max(int(np.max(degree)), 0))
+    den_derivs = [derivative_at_points(denominator, k) for k in range(top + 1)]
     values = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for ell in range(order + 1):
             acc = num_derivs[ell]
             for k in range(1, min(ell, top) + 1):
-                acc = acc - _product(math.comb(ell, k) * den_derivs[k], values[ell - k])
+                term = acc - _product(math.comb(ell, k) * den_derivs[k], values[ell - k])
+                acc = term if np.all(degree >= k) else np.where((degree >= k)[:, None], term, acc)
             values.append(acc / den_derivs[0])
     return values
 
@@ -249,13 +318,7 @@ class Polynomial:
         return acc
 
     def derivative(self, order: int = 1) -> "Polynomial":
-        coeffs = self.coefficients
-        for _ in range(order):
-            if len(coeffs) == 1:
-                coeffs = np.zeros(1, dtype=complex)
-                break
-            coeffs = coeffs[1:] * np.arange(1, len(coeffs))
-        return Polynomial(coeffs, self.center)
+        return Polynomial(_differentiated(self.coefficients, order), self.center)
 
     def antiderivative(self, base_point: complex | None = None) -> "Polynomial":
         """Antiderivative vanishing at ``base_point`` (default: the center)."""

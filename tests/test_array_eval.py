@@ -8,8 +8,10 @@ whose derivative values run the Leibniz recurrence of
 ``series.derivative_values`` one point at a time in scalar arithmetic.
 The Hankel and cofactor blocks of the Pade construction, sliced from the
 coefficient array, are compared with the per-entry loop that filled them.
-Results are compared by their bits, so a changed last bit or sign of zero
-fails.
+The centre axis of the Horner kernel and of the Leibniz recurrence (C
+coefficient rows about C centres, evaluated as one ``(C, P)`` array) is
+compared with the calls without it, row by row.  Results are compared by
+their bits, so a changed last bit or sign of zero fails.
 """
 
 import cmath
@@ -41,13 +43,14 @@ from padelab import (
     universality_pipeline,
 )
 from padelab.construct import CenterRecord
-from padelab.errors import IndeterminateValueError
+from padelab.errors import DegeneratePadeError, IndeterminateValueError, PoleAtCenterError
 from padelab.pade import (
     COMMON_ZERO_RTOL,
     NORMALITY_RTOL,
     _coefficient_block,
     _lu_determinant,
 )
+from padelab.series import _derivative_values, _horner, _stacked
 
 from conftest import complex_normal
 
@@ -141,7 +144,13 @@ def certificate_records_loop(f, centers, k_sample, delta_sample, target, p, q, e
     for zeta in centers.points:
         series = f.taylor_at(zeta, p + q)
         norm = normality(series, p, q)
-        approx = pade_construct(series, p, q)
+        try:
+            approx = pade_construct(series, p, q)
+        except DegeneratePadeError:
+            records.append(CenterRecord(
+                complex(zeta), norm.determinant, False, 0.0, 0.0, math.inf, (math.inf,) * (ell_max + 1)
+            ))
+            continue
         threshold = (COMMON_ZERO_RTOL * approx.scale()) ** 2
         margin_k, _ = common_zero_margin_loop(approx, k_sample.points)
         margin_d, _ = common_zero_margin_loop(approx, delta_sample.points)
@@ -203,6 +212,41 @@ class TestHornerKernel:
             points = center + 2.0 * complex_normal(rng, 57)
             want = np.array([derivative_values_loop(num, den, complex(z), order) for z in points]).T.copy()
             assert_same_bits(np.array(derivative_values(num, den, points, order)), want)
+
+    def test_centre_axis_matches_rows(self, rng):
+        # rows of trimmed degrees 0..12 about their own centres, and the zero polynomial
+        polys = [Polynomial(random_coefficients(rng, int(rng.integers(0, 13))), random_center(rng))
+                 for _ in range(12)]
+        polys.append(Polynomial.zero(0.5j))
+        coefficients, centers = _stacked(polys)
+        points = 2.0 * complex_normal(rng, 57)
+        assert_same_bits(_horner(coefficients, centers, points), np.array([f(points) for f in polys]))
+
+    def test_derivative_values_centre_axis_matches_rows(self, rng):
+        # denominators of degree 0 beside degrees up to 3, a zero numerator, a zero
+        # denominator and one of degree 1 that is exactly 0 at a point.  Where a value
+        # is infinite, a D^(k) term that a row of lower degree leaves out would add
+        # 0 * inf = NaN
+        pole = 0.75 + 0.5j
+        nums, dens = [], []
+        for i in range(12):
+            center = random_center(rng)
+            nums.append(Polynomial(random_coefficients(rng, int(rng.integers(0, 9))), center))
+            dens.append(Polynomial(random_coefficients(rng, i % 4), center))
+        center = random_center(rng)
+        nums += [Polynomial(random_coefficients(rng, 3), center), Polynomial.zero(center),
+                 Polynomial(random_coefficients(rng, 2), center)]
+        dens += [Polynomial([-(pole - center), 1.0], center), Polynomial(random_coefficients(rng, 2), center),
+                 Polynomial.zero(center)]
+        points = np.concatenate([2.0 * complex_normal(rng, 40), [pole]])
+        assert dens[-3](points)[-1] == 0
+        num, centers = _stacked(nums)
+        den, _ = _stacked(dens)
+        for order in (0, 1, 4):
+            got = _derivative_values(num, den, centers, points, order)
+            rows = [derivative_values(n, d, points, order) for n, d in zip(nums, dens)]
+            for ell in range(order + 1):
+                assert_same_bits(got[ell], np.array([row[ell] for row in rows]))
 
 
 # --- chordal metric and its sampled sup ---------------------------------------------------
@@ -318,6 +362,18 @@ class TestPadeArrays:
         with pytest.raises(IndeterminateValueError, match=r"vanish at 0j"):
             evaluate_extended_array(approx, np.array([0.5 + 0j, 0j, 0.25 + 0j]))
 
+    def test_evaluate_extended_on_a_2d_array(self):
+        # the common zero 0.5 sits at flat index 5 of a 2 x 3 array
+        shared = Polynomial([-0.5, 1.0])
+        approx = PadeApproximant(2, 1, 0.0, shared * Polynomial([1.0, 2.0]), shared, 1.0, False)
+        z = np.array([[0.25, 1.0, 2.0], [0.0, 3.0, 0.5]], dtype=complex)
+        with pytest.raises(IndeterminateValueError, match=r"vanish at \(0\.5\+0j\)$"):
+            evaluate_extended_array(approx, z)
+        clear = z.copy()
+        clear[1, 2] = 1.5
+        assert_same_bits(evaluate_extended_array(approx, clear),
+                         evaluate_extended_array(approx, clear.ravel()).reshape(2, 3))
+
 
 # --- Pade coefficient windows -----------------------------------------------------------------
 
@@ -374,6 +430,37 @@ class TestConstructArrays:
         assert cert.e_set_member and cert.t_set_member
         want = certificate_records_loop(result.function, grid, k, grid, target, cert.p, cert.q, 3)
         assert cert.records == want
+
+        centers = CompactSample(np.array([0.0, 0.5, 0.25j, -0.5 + 0.25j]), "centres", 0.5)
+        delta = circle_sample(0.0, 0.3, 8)
+        # 1/(z - 2) at the centre 0: the (0, 1) denominator 1/2 - w/4 is exactly 0 at
+        # the K point 2, where the approximant is infinite
+        f = RationalFunction(Polynomial([1.0]), Polynomial([-2.0, 1.0]))
+        k = CompactSample(np.array([2.0, 2.25, 1.75 + 0.25j]), "points", 0.25)
+        assert pade_construct(f.taylor_at(0.0, 1), 0, 1).denominator(k.points)[0] == 0
+        # z^2 at the centre 0: both (0, 1) determinant polynomials vanish
+        square = RationalFunction(Polynomial([0.0, 0.0, 1.0]), Polynomial([1.0]))
+        with pytest.raises(DegeneratePadeError):
+            pade_construct(square.taylor_at(0.0, 1), 0, 1)
+        # 1 + z^3 at the centre 0: the (2, 1) pair (w, w) is not clear of its common zero 0
+        cubic = RationalFunction(Polynomial([1.0, 0.0, 0.0, 1.0]), Polynomial([1.0]))
+        target = Polynomial([0.1, 0.5j])
+        at_origin = []
+        for f, k, p, q in [(f, k, 0, 1), (square, k, 0, 1), (cubic, disc_grid_sample(0.0, 0.5, 3), 2, 1)]:
+            cert = universality_certificate(f, centers, k, delta, target, p, q, s=5, max_derivative_order=3)
+            assert cert.records == certificate_records_loop(f, centers, k, delta, target, p, q, 3)
+            at_origin.append(cert.records[0])
+        pole, degenerate, common_zero = at_origin
+        assert pole.margin_on_k > 0 and pole.chordal_sup_on_k < 1.0
+        assert degenerate == CenterRecord(0j, 0j, False, 0.0, 0.0, math.inf, (math.inf,) * 4)
+        assert common_zero.margin_on_k == 0.0 and common_zero.chordal_sup_on_k == math.inf
+
+    def test_certificate_centre_on_a_pole_raises(self):
+        f = RationalFunction(Polynomial([1.0]), Polynomial([-0.5, 1.0]))
+        centers = CompactSample(np.array([0.0, 0.5]), "centres", 0.5)
+        grid = disc_grid_sample(0.0, 0.5, 3)
+        with pytest.raises(PoleAtCenterError, match=r"^denominator vanishes at center \(0\.5\+0j\)$"):
+            universality_certificate(f, centers, grid, grid, f, 1, 1, s=5)
 
     def test_certificate_rejects_on_common_zero_in_k(self):
         # at the centre 0 the (2, 1) determinant pair of 1 + z^3 is (w, w), whose

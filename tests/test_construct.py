@@ -33,6 +33,8 @@ from padelab.errors import (
     PoleNotInListError,
     PoleOnBoundaryError,
     PreconditionError,
+    RootFindingError,
+    VerificationError,
 )
 
 from conftest import complex_normal
@@ -259,6 +261,13 @@ class TestPrincipalParts:
         assert mult == 3
         assert abs(pole - 1.0) < 1e-9
 
+    def test_inconsistent_multiplicities_raise(self):
+        # a double root 4.7e-5 from a simple one: the tolerant gcd of B and B' takes
+        # in the simple root, and the multiplicities found no longer sum to deg B
+        den = np.polynomial.polynomial.polyfromroots([1.0, 1.0, 1.000047])
+        with pytest.raises(RootFindingError, match=r"inconsistent with denominator degree 3$"):
+            denominator_poles(rational([1.0], den))
+
 
 class TestResidueCorrection:
     def test_simple_pole_fully_removed(self):
@@ -288,6 +297,13 @@ class TestResidueCorrection:
         r = rational([1.0], [-0.7, 1.0])
         with pytest.raises(PoleNotInListError):
             residue_correction(r, [5.0], 1)
+
+    def test_offset_listed_pole_fails_verification(self):
+        # 0.7 + 5e-7 matches the pole 0.7, so the residue 1 is removed as 1/(z - a)
+        # at the listed a; the order-2 moment is then 2 pi i (0.7 - a), far above 1e-9
+        r = rational([1.0], [-0.7, 1.0])
+        with pytest.raises(VerificationError, match=r"^moment 1 at pole \(0\.70000049+\+0j\) fails to vanish"):
+            residue_correction(r, [0.7 + 5e-7], 2)
 
 
 class TestAntiderivativeCascade:
