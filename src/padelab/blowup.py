@@ -103,23 +103,15 @@ def orthocircle_invariants(r: float, sample_count: int) -> OrthocircleInvariants
     )
 
 
-def boundary_integrand(t: float, method: str = "stable") -> complex:
+def boundary_integrand(t: float) -> complex:
     """h(t) = e^{it} ((e^{it}-3)/(e^{it}-1)) / log(1-e^{it}) for 0 < t < pi.
 
-    ``method="stable"`` forms e^{it}-1 through the half-angle identity;
-    ``method="direct"`` evaluates the formula literally (useful as an
-    independent cross-check away from 0).
+    e^{it}-1 is formed through the half-angle identity, so it keeps its
+    relative accuracy as t -> 0.
     """
     if not 0.0 < t < math.pi:
         raise PreconditionError(f"boundary integrand defined for 0 < t < pi, got {t}")
     eit = cmath.exp(1j * t)
-    if method == "direct":
-        one_minus = 1.0 - eit
-        if one_minus.real <= 0:
-            raise PreconditionError(f"log branch cut approached at t = {t}")
-        return eit * (eit - 3.0) / (eit - 1.0) / cmath.log(one_minus)
-    if method != "stable":
-        raise ValueError(f"unknown method {method!r}")
     em1 = 2j * math.sin(t / 2.0) * cmath.exp(1j * t / 2.0)  # e^{it} - 1
     one_minus = -em1
     if one_minus.real <= 0:

@@ -83,11 +83,29 @@ def _derivative_rows(points: np.ndarray, degree: int, order: int, shift: complex
     m = np.zeros((len(points), degree + 1), dtype=complex)
     w = (points - shift) / scale
     for j in range(order, degree + 1):
-        fac = 1.0
-        for i in range(order):
-            fac *= j - i
-        m[:, j] = fac * w ** (j - order) / scale**order
+        m[:, j] = math.perm(j, order) * w ** (j - order) / scale**order
     return m
+
+
+def _householder_r(a: np.ndarray) -> np.ndarray:
+    """R of the QR of all but the last column of ``a``, with Q^H times that
+    column appended.  Reflection j changes rows and columns >= j only.
+
+    NumPy arithmetic, not LAPACK: at the fit's width OpenBLAS threads
+    LAPACK's QR, which doubled the fit's CPU time on 2 vCPUs and made its
+    last bits depend on the thread count.
+    """
+    r = a.astype(complex)
+    for j in range(a.shape[1] - 1):
+        x = r[j:, j]
+        norm = np.linalg.norm(x)
+        if norm == 0.0:
+            continue
+        v = x.copy()
+        v[0] += norm * (x[0] / abs(x[0]) if x[0] != 0 else 1.0)
+        v *= math.sqrt(2.0) / np.linalg.norm(v)
+        r[j:, j:] -= np.multiply.outer(v, np.einsum("i,ij->j", v.conj(), r[j:, j:]))
+    return r
 
 
 def two_set_poly_fit(
@@ -114,10 +132,13 @@ def two_set_poly_fit(
     achieved residual when no degree within the cap verifies.
 
     The linear system is a Vandermonde with derivative rows in a
-    shifted/scaled monomial basis, solved by column-scaled QR.  For
-    targets needing frequencies far beyond the cap (for example a target
-    with a pole very close to one sample set), the reported residual is
-    the honest least-squares optimum, and the fit fails.
+    shifted/scaled monomial basis.  It is assembled and column-scaled once,
+    at the cap's width, and factored by one QR: column j does not depend on
+    the degree, so degree d solves with the leading (d+1) x (d+1) block of
+    R and the first d+1 entries of Q^H b.  For targets needing frequencies
+    far beyond the cap (for example a target with a pole very close to one
+    sample set), the reported residual is the honest least-squares optimum,
+    and the fit fails.
     """
     if k_sample is None and (l_sample is None or not l_targets):
         raise PreconditionError("at least one constraint set is required")
@@ -127,51 +148,37 @@ def two_set_poly_fit(
     shift = complex(all_points.mean())
     scale = max(1.0, float(np.abs(all_points - shift).max()))
 
-    k_values = values_on(k_target, k_points) if k_sample is not None else None
     l_orders = list(l_targets) if l_sample is not None else []
-    l_values = [values_on(target, l_points) for target in l_orders]
-
-    def assemble(degree: int):
-        rows, rhs = [], []
-        if k_sample is not None:
-            rows.append(_derivative_rows(k_points, degree, 0, shift, scale))
-            rhs.append(k_values)
-        for order in range(len(l_values)):
-            rows.append(_derivative_rows(l_points, degree, order, shift, scale))
-            rhs.append(l_values[order])
-        return np.vstack(rows), np.concatenate(rhs)
-
-    def residual_of(poly: Polynomial) -> float:
-        worst = 0.0
-        if k_sample is not None:
-            worst = _max_error(poly, k_points, k_values)
-        for order, values in enumerate(l_values):
-            worst = max(worst, _max_error(poly.derivative(order), l_points, values))
-        return worst
-
-    cap = min(max_degree, len(k_points) + len(l_values) * len(l_points) - 1)
+    # (points, derivative order, target values) of each block of rows
+    blocks = [(k_points, 0, values_on(k_target, k_points))] if k_sample is not None else []
+    blocks += [(l_points, order, values_on(target, l_points)) for order, target in enumerate(l_orders)]
+    cap = min(max_degree, sum(len(points) for points, _, _ in blocks) - 1)
+    a = np.vstack([_derivative_rows(points, cap, order, shift, scale) for points, order, _ in blocks])
+    b = np.concatenate([values for _, _, values in blocks])
+    col_norms = np.linalg.norm(a, axis=0)
+    col_norms[col_norms == 0] = 1.0
+    a /= col_norms
+    r = _householder_r(np.column_stack([a, b]))
+    qb = r[:, -1]
+    diag = np.abs(np.diag(r))
     best_res, best_deg = math.inf, -1
-    for degree in range(0, cap + 1):
-        a, b = assemble(degree)
-        col_norms = np.linalg.norm(a, axis=0)
-        col_norms[col_norms == 0] = 1.0
-        q, r = np.linalg.qr(a / col_norms)
-        diag = np.abs(np.diag(r))
-        if diag.min() <= 1e-14 * max(1.0, diag.max()):
-            coeffs_scaled, *_ = np.linalg.lstsq(a / col_norms, b, rcond=None)
+    for degree in range(cap + 1):
+        n = degree + 1
+        if diag[:n].min() <= 1e-14 * max(1.0, diag[:n].max()):
+            coeffs_scaled, *_ = np.linalg.lstsq(a[:, :n], b, rcond=None)
         else:
-            coeffs_scaled = np.linalg.solve(r, q.conj().T @ b)
-        coeffs_basis = coeffs_scaled / col_norms
+            coeffs_scaled = np.linalg.solve(r[:n, :n], qb[:n])
+        coeffs_basis = coeffs_scaled / col_norms[:n]
         # from basis ((z - shift)/scale)^j back to a polynomial in z
-        poly = Polynomial(coeffs_basis / scale ** np.arange(degree + 1), shift).recentered(0.0)
-        res = residual_of(poly)
-        if res < best_res:
-            best_res, best_deg = res, degree
+        poly = Polynomial(coeffs_basis / scale ** np.arange(n), shift).recentered(0.0)
+        res = max(_max_error(poly.derivative(order), points, values) for points, order, values in blocks)
         if res <= tol:
             verified = _verify_on_refined(poly, k_sample, k_target, l_sample, l_orders, res)
             if verified <= tol:
                 return poly, FitReport(degree, res, verified)
-            best_res, best_deg = verified, degree
+            res = verified
+        if res < best_res:
+            best_res, best_deg = res, degree
     limit = f"{cap}" if cap == max_degree else f"{cap} (the most that {cap + 1} constraint rows determine)"
     raise FitFailureError(
         f"no polynomial of degree <= {limit} meets tol {tol:g}; "

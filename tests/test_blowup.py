@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -89,10 +90,11 @@ class TestBoundaryIntegrand:
         assert tiny_gap < gap  # still shrinking
 
     def test_direct_and_stable_agree_at_interior_point(self):
+        # oracle: the formula evaluated as written, e^{it} - 1 by subtraction
         t = math.pi / 2.0
-        direct = boundary_integrand(t, method="direct")
-        stable = boundary_integrand(t, method="stable")
-        assert abs(direct - stable) < 1e-12
+        eit = cmath.exp(1j * t)
+        direct = eit * (eit - 3.0) / (eit - 1.0) / cmath.log(1.0 - eit)
+        assert abs(direct - boundary_integrand(t)) < 1e-12
         assert abs(direct) < 10.0
 
     def test_domain_endpoints_rejected(self):
