@@ -51,7 +51,6 @@ from .domains import (
     CorridorDomain,
     DiscDomain,
     DomainSpec,
-    PathBudget,
     PolylinePath,
     StarlikeDomain,
     antiderivative_at,

@@ -38,6 +38,8 @@ from .errors import PreconditionError, SingularPointError
 
 # t0 values are restricted to (0, pi/2); partial integrals use eps < t0.
 
+DIVERGENCE_TOL = 1e-11  # absolute tolerance of every partial integral
+
 
 def singular_inner(z: complex) -> complex:
     """exp((z+1)/(z-1)); bounded by 1 on Re z <= 1, singular only at 1."""
@@ -178,14 +180,14 @@ def _kahan_add(total: complex, carry: complex, term: complex) -> tuple[complex, 
     return t, carry
 
 
-def _integrate_log_substituted(func, s_lo: float, s_hi: float, tol: float) -> complex:
-    """Adaptive Gauss-Legendre of func(t) e^{-s} ds with t = e^{-s}."""
+def _integrate_log_substituted(func, s_lo: float, s_hi: float) -> complex:
+    """Adaptive Gauss-Legendre of func(t) e^{-s} ds with t = e^{-s}, to DIVERGENCE_TOL."""
 
     def g(s: float) -> complex:
         t = math.exp(-s)
         return func(t) * t
 
-    return adaptive_gauss_legendre(g, s_lo, s_hi, tol)
+    return adaptive_gauss_legendre(g, s_lo, s_hi, DIVERGENCE_TOL)
 
 
 def comparator_value(eps: float, t0: float) -> float:
@@ -193,13 +195,13 @@ def comparator_value(eps: float, t0: float) -> float:
     return 2.0 * (math.log(math.log(1.0 / eps)) - math.log(math.log(1.0 / t0)))
 
 
-def divergence_experiment(eps_list, t0: float = 0.5, tol: float = 1e-11) -> DivergenceReport:
+def divergence_experiment(eps_list, t0: float = 0.5) -> DivergenceReport:
     """Partial integrals of the boundary integrand down to each eps.
 
     For each eps in the (strictly decreasing) list, computes
     I = |int_eps^t0 h dt| and J = int_eps^t0 |h| dt with the t = e^{-s}
     substitution and compensated summation (QuadratureError if a piece
-    misses tol), together with the comparator
+    misses DIVERGENCE_TOL), together with the comparator
     2 (ln ln(1/eps) - ln ln(1/t0)) and arg h(eps).  Also measures the
     half-mass window: on [eps_min, t1] where the sampled arg variation of
     h stays below pi/3, it reports |int h| and int |h| (the former must
@@ -222,8 +224,8 @@ def divergence_experiment(eps_list, t0: float = 0.5, tol: float = 1e-11) -> Dive
     s_prev = math.log(1.0 / t0)
     for eps in eps_list:
         s_eps = math.log(1.0 / eps)
-        piece_I = _integrate_log_substituted(h, s_prev, s_eps, tol)
-        piece_J = _integrate_log_substituted(lambda t: abs(h(t)), s_prev, s_eps, tol)
+        piece_I = _integrate_log_substituted(h, s_prev, s_eps)
+        piece_J = _integrate_log_substituted(lambda t: abs(h(t)), s_prev, s_eps)
         total_I, carry_I = _kahan_add(total_I, carry_I, piece_I)
         total_J, carry_J = _kahan_add(total_J, carry_J, piece_J)
         s_prev = s_eps
@@ -238,8 +240,8 @@ def divergence_experiment(eps_list, t0: float = 0.5, tol: float = 1e-11) -> Dive
         )
 
     window = _half_mass_window(eps_list[-1], t0)
-    i_win = abs(_integrate_log_substituted(h, math.log(1.0 / window[1]), math.log(1.0 / window[0]), tol))
-    j_win = _integrate_log_substituted(lambda t: abs(h(t)), math.log(1.0 / window[1]), math.log(1.0 / window[0]), tol).real
+    i_win = abs(_integrate_log_substituted(h, math.log(1.0 / window[1]), math.log(1.0 / window[0])))
+    j_win = _integrate_log_substituted(lambda t: abs(h(t)), math.log(1.0 / window[1]), math.log(1.0 / window[0])).real
     return DivergenceReport(t0, tuple(rows), window, i_win, j_win)
 
 

@@ -357,7 +357,7 @@ def cmd_cascade(args, config) -> int:
     if args.grid < 10:
         raise PreconditionError("--grid must be at least 10")
     n = args.n
-    series = series_builtin(args.f, 0.0, args.pn_degree)
+    series = series_builtin("exp", 0.0, args.pn_degree)
     top = partial_sum(series, args.pn_degree)
     derivative_values = [1.0] * n  # every derivative of exp at 0
     cascade = antiderivative_cascade(derivative_values, top, 0.0, n)
@@ -365,11 +365,11 @@ def cmd_cascade(args, config) -> int:
     radii = np.linspace(0.1, 1.0, 10)
     angles = 2.0 * np.pi * np.arange(args.grid // 10) / max(1, args.grid // 10)
     grid = (radii[:, None] * np.exp(1j * angles)).ravel()
-    m = domain.path_budget.M
+    m = domain.path_budget
     rows = []
     level = cascade
     for k in range(0, n + 1):
-        sup_err = np.max(modulus(level(grid) - np.exp(grid))) if args.f == "exp" else math.nan
+        sup_err = np.max(modulus(level(grid) - np.exp(grid)))
         bound = args.eps / (m + 1.0) ** k
         rows.append({"k": k, "sup_error": float(sup_err), "bound": bound,
                      "within": bool(sup_err < bound)})
@@ -401,6 +401,10 @@ def cmd_volterra(args, config) -> int:
 def cmd_divergence(args, config) -> int:
     if not args.eps_min > 0.0:
         raise PreconditionError("--eps-min must be positive")
+    if not args.eps_min <= args.eps_max:
+        raise PreconditionError("--eps-min must not exceed --eps-max")
+    if args.per_decade < 1:
+        raise PreconditionError("--per-decade must be at least 1")
     decades = int(round(math.log10(args.eps_max / args.eps_min)))
     count = decades * args.per_decade + 1
     eps_list = [
@@ -466,7 +470,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_universality)
 
     p = sub.add_parser("cascade", help="anchored antiderivative cascade error levels")
-    p.add_argument("--f", default="exp", choices=["exp"])
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--pn-degree", type=int, default=12)
     p.add_argument("--domain", default="disc:0,0,1",

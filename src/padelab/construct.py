@@ -142,6 +142,10 @@ def two_set_poly_fit(
     """
     if k_sample is None and (l_sample is None or not l_targets):
         raise PreconditionError("at least one constraint set is required")
+    if max_degree < 0:
+        raise PreconditionError(f"max_degree must be non-negative, got {max_degree}")
+    if not tol >= 0.0:
+        raise PreconditionError(f"tol must be non-negative, got {tol}")
     k_points = k_sample.points if k_sample is not None else np.zeros(0, dtype=complex)
     l_points = l_sample.points if l_sample is not None else np.zeros(0, dtype=complex)
     all_points = np.concatenate([k_points, l_points])
@@ -290,6 +294,10 @@ def universality_certificate(
     """
     if s < 1:
         raise PreconditionError(f"s must be at least 1, got {s}")
+    if max_derivative_order is not None and max_derivative_order < 0:
+        raise PreconditionError(
+            f"max_derivative_order must be non-negative, got {max_derivative_order}"
+        )
     if min(len(centers), len(k_sample), len(delta_sample)) == 0:
         raise InvalidSampleError("empty sample")
     ell_max = s if max_derivative_order is None else max_derivative_order
@@ -511,36 +519,19 @@ def denominator_poles(rational: RationalFunction) -> list[tuple[complex, int]]:
     return out
 
 
-def _deflate(poly: Polynomial, root: complex, multiplicity: int) -> Polynomial:
-    """poly / (z - root)^multiplicity by synthetic division (remainders dropped)."""
-    coeffs = np.array(poly.recentered(0.0).coefficients, dtype=complex)
-    for _ in range(multiplicity):
-        out = np.zeros(len(coeffs) - 1, dtype=complex)
-        acc = 0j
-        for k in range(len(coeffs) - 1, 0, -1):
-            acc = coeffs[k] + root * acc
-            out[k - 1] = acc
-        coeffs = out
-        if len(coeffs) == 0:
-            return Polynomial([1.0])
-    return Polynomial(coeffs)
-
-
 def laurent_coefficients(rational: RationalFunction, pole: complex, multiplicity: int, n: int) -> list[complex]:
     """Laurent coefficients of (z - pole)^-j for j = 1..n at a pole.
 
     Writes the denominator as (z - pole)^multiplicity * Q with Q(pole) != 0
     and Taylor-expands numerator/Q at the pole; coefficient j is the
     Taylor coefficient of index multiplicity - j (zero when j exceeds the
-    pole order).
+    pole order).  Q is the denominator recentered at the pole without its
+    first ``multiplicity`` coefficients, which vanish there up to roundoff.
     """
-    num = rational.numerator
-    den = rational.denominator
-    q_poly = _deflate(den, pole, multiplicity)
+    num = rational.numerator.recentered(pole)
+    q_poly = Polynomial(rational.denominator.recentered(pole).coefficients[multiplicity:], pole)
     head = taylor_of_rational(
-        RationalFunction(num.recentered(0.0), q_poly, _normalized=True),
-        pole,
-        max(multiplicity - 1, 0),
+        RationalFunction(num, q_poly, _normalized=True), pole, max(multiplicity - 1, 0)
     )
     out = []
     for j in range(1, n + 1):

@@ -1,7 +1,7 @@
 """Plane domains, bounded joining paths and complex path integration.
 
-Three domain shapes are supported, each with a certified bound M on the
-length of the internal path joining any two of its points:
+Three domain shapes are supported, each with a bound M on the length of
+the internal path joining any two of its points:
 
 * disc: the straight segment, M = diameter;
 * starlike about a center z0 (radial profile rho(theta), sampled at
@@ -11,21 +11,24 @@ length of the internal path joining any two of its points:
   profile phi: descend to a horizontal corridor just above the floor,
   traverse, ascend; M = 2 * (max phi - c) + 1.
 
-The corridor descends to ``c + CORRIDOR_MARGIN * (min phi - c)`` so the
-path stays strictly interior for sampled profiles.
+A shape supplies only its geometry, including the waypoints of its path;
+:meth:`DomainSpec.bounded_path` is the one routine that builds the path
+and checks it against M and against the domain.  The corridor descends to
+``c + CORRIDOR_MARGIN * (min phi - c)`` so the path stays strictly
+interior for sampled profiles.
 
 Path integrals use composite 16-node Gauss-Legendre per segment with
-adaptive bisection; the node set is deterministic, so repeated runs give
-identical values.  :func:`adaptive_gauss_legendre` is the package's one
-quadrature engine (the divergence experiment in ``blowup`` uses it too);
-a segment that does not converge within MAX_BISECTIONS bisections raises
-QuadratureError rather than returning its last estimate.
+adaptive bisection to absolute tolerance QUAD_TOL; the node set is
+deterministic, so repeated runs give identical values.
+:func:`adaptive_gauss_legendre` is the package's one quadrature engine
+(the divergence experiment in ``blowup`` uses it too); a segment that
+does not converge within MAX_BISECTIONS bisections raises QuadratureError
+rather than returning its last estimate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,13 +41,6 @@ QUAD_TOL = 1e-12
 MAX_BISECTIONS = 24
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
-
-
-@dataclass(frozen=True)
-class PathBudget:
-    """Uniform bound on joining-path length for a domain."""
-
-    M: float
 
 
 class PolylinePath:
@@ -72,13 +68,6 @@ class PolylinePath:
 
     def segments(self):
         return list(zip(self.vertices, self.vertices[1:]))
-
-    def to_data(self) -> dict:
-        return {"vertices": [[v.real, v.imag] for v in self.vertices]}
-
-    @classmethod
-    def from_data(cls, data: dict) -> "PolylinePath":
-        return cls([complex(re, im) for re, im in data["vertices"]])
 
     def __repr__(self):
         return f"PolylinePath({len(self.vertices)} vertices, length={self.length:.6g})"
@@ -112,25 +101,40 @@ class CirclePath:
 
 
 class DomainSpec:
-    """Common surface for the supported domain shapes."""
+    """A plane domain with a uniform bound M on its joining paths.
 
-    def contains(self, z: complex) -> bool:
-        raise NotImplementedError
+    A shape subclasses this and supplies its geometry:
 
-    @property
-    def diameter(self) -> float:
-        raise NotImplementedError
+    * ``contains(z)``: membership of the open domain;
+    * ``diameter``;
+    * ``path_budget``: the number M;
+    * ``waypoints(a, b)``: the inner vertices of the path from a to b;
+    * ``noun``: the domain's name in the endpoint error;
+    * ``to_data()`` for :meth:`from_data`, and ``__repr__``.
 
-    @property
-    def path_budget(self) -> PathBudget:
-        """Uniform bound on the length of paths produced by bounded_path."""
-        raise NotImplementedError
+    :meth:`bounded_path` is written once for every shape.
+    """
 
-    def bounded_path(self, a: complex, b: complex) -> tuple[PolylinePath, PathBudget]:
-        raise NotImplementedError
+    def bounded_path(self, a: complex, b: complex) -> tuple[PolylinePath, float]:
+        """The polyline ``[a, *waypoints, b]`` inside the domain, and M.
 
-    def to_data(self) -> dict:
-        raise NotImplementedError
+        Raises PathOutsideDomainError when an endpoint lies outside, or when
+        a Gauss-Legendre node of a segment does.
+        """
+        a, b = complex(a), complex(b)
+        for point in (a, b):
+            if not self.contains(point):
+                raise PathOutsideDomainError(f"endpoint {point} outside {self.noun}")
+        path = PolylinePath([a, *self.waypoints(a, b), b])
+        budget = self.path_budget
+        assert path.length <= budget + 1e-12
+        for u, v in path.segments():
+            mid, rad = (u + v) / 2.0, (v - u) / 2.0
+            for x in _GL_NODES:
+                z = mid + rad * x
+                if not self.contains(z):
+                    raise PathOutsideDomainError(f"constructed path leaves the domain at {z}")
+        return path, budget
 
     @staticmethod
     def from_data(data: dict) -> "DomainSpec":
@@ -144,18 +148,26 @@ class DomainSpec:
         raise ValueError(f"unknown domain variant {kind!r}")
 
 
-def _verify_inside(domain: DomainSpec, path: PolylinePath):
-    """Check path interior points at the quadrature nodes of each segment."""
-    for a, b in path.segments():
-        mid, rad = (a + b) / 2.0, (b - a) / 2.0
-        for x in _GL_NODES:
-            z = mid + rad * x
-            if not domain.contains(z):
-                raise PathOutsideDomainError(f"constructed path leaves the domain at {z}")
+_COUNT_WORDS = {2: "two", 3: "three"}
+
+
+def _sampled_profile(profile, grid: np.ndarray, minimum: int) -> np.ndarray:
+    """Read-only samples of a profile: a callable is sampled on ``grid``,
+    an array is taken as is; fewer than ``minimum`` samples is an error."""
+    if callable(profile):
+        samples = np.array([float(profile(t)) for t in grid])
+    else:
+        samples = np.asarray(profile, dtype=float)
+    if samples.ndim != 1 or samples.size < minimum:
+        raise ValueError(f"profile needs at least {_COUNT_WORDS[minimum]} samples")
+    samples.setflags(write=False)
+    return samples
 
 
 class DiscDomain(DomainSpec):
     """Open disc; joining paths are straight segments."""
+
+    noun = "the disc"
 
     def __init__(self, center: complex, radius: float):
         if radius <= 0:
@@ -171,18 +183,11 @@ class DiscDomain(DomainSpec):
         return 2.0 * self.radius
 
     @property
-    def path_budget(self) -> PathBudget:
-        return PathBudget(self.diameter)
+    def path_budget(self) -> float:
+        return self.diameter
 
-    def bounded_path(self, a: complex, b: complex) -> tuple[PolylinePath, PathBudget]:
-        a, b = complex(a), complex(b)
-        for point in (a, b):
-            if not self.contains(point):
-                raise PathOutsideDomainError(f"endpoint {point} outside the disc")
-        path = PolylinePath([a, b])
-        budget = self.path_budget
-        assert path.length <= budget.M + 1e-12
-        return path, budget
+    def waypoints(self, a: complex, b: complex) -> tuple[complex, ...]:
+        return ()
 
     def to_data(self) -> dict:
         return {
@@ -203,19 +208,14 @@ class StarlikeDomain(DomainSpec):
     linearly, so all geometric predicates are reproducible.
     """
 
+    noun = "the starlike domain"
+
     def __init__(self, center: complex, profile):
         self.center = complex(center)
-        if callable(profile):
-            theta = 2.0 * np.pi * np.arange(PROFILE_SAMPLES) / PROFILE_SAMPLES
-            samples = np.array([float(profile(t)) for t in theta])
-        else:
-            samples = np.asarray(profile, dtype=float)
-        if samples.ndim != 1 or samples.size < 3:
-            raise ValueError("profile needs at least three samples")
-        if not np.all(samples > 0):
+        theta = 2.0 * np.pi * np.arange(PROFILE_SAMPLES) / PROFILE_SAMPLES
+        self.profile = _sampled_profile(profile, theta, 3)
+        if not np.all(self.profile > 0):
             raise ValueError("radial profile must be strictly positive")
-        self.profile = samples
-        self.profile.setflags(write=False)
 
     def radius_at(self, theta: float) -> float:
         n = len(self.profile)
@@ -237,19 +237,11 @@ class StarlikeDomain(DomainSpec):
         return float((self.profile + opposite).max())
 
     @property
-    def path_budget(self) -> PathBudget:
-        return PathBudget(2.0 * self.diameter)
+    def path_budget(self) -> float:
+        return 2.0 * self.diameter
 
-    def bounded_path(self, a: complex, b: complex) -> tuple[PolylinePath, PathBudget]:
-        a, b = complex(a), complex(b)
-        for point in (a, b):
-            if not self.contains(point):
-                raise PathOutsideDomainError(f"endpoint {point} outside the starlike domain")
-        path = PolylinePath([a, self.center, b])
-        budget = self.path_budget
-        assert path.length <= budget.M + 1e-12
-        _verify_inside(self, path)
-        return path, budget
+    def waypoints(self, a: complex, b: complex) -> tuple[complex, ...]:
+        return (self.center,)
 
     def to_data(self) -> dict:
         return {
@@ -271,19 +263,14 @@ class CorridorDomain(DomainSpec):
     the corridor construction keeps joining paths short regardless.
     """
 
+    noun = "the corridor domain"
+
     def __init__(self, profile, floor: float):
-        if callable(profile):
-            xs = np.linspace(0.0, 1.0, PROFILE_SAMPLES)
-            samples = np.array([float(profile(x)) for x in xs])
-        else:
-            samples = np.asarray(profile, dtype=float)
-        if samples.ndim != 1 or samples.size < 2:
-            raise ValueError("profile needs at least two samples")
+        samples = _sampled_profile(profile, np.linspace(0.0, 1.0, PROFILE_SAMPLES), 2)
         self.floor = float(floor)
         if not self.floor < samples.min():
             raise ValueError("floor must lie strictly below the profile")
         self.profile = samples
-        self.profile.setflags(write=False)
 
     def height_at(self, x: float) -> float:
         n = len(self.profile)
@@ -306,20 +293,12 @@ class CorridorDomain(DomainSpec):
         return self.floor + CORRIDOR_MARGIN * (float(self.profile.min()) - self.floor)
 
     @property
-    def path_budget(self) -> PathBudget:
-        return PathBudget(2.0 * (float(self.profile.max()) - self.floor) + 1.0)
+    def path_budget(self) -> float:
+        return 2.0 * (float(self.profile.max()) - self.floor) + 1.0
 
-    def bounded_path(self, a: complex, b: complex) -> tuple[PolylinePath, PathBudget]:
-        a, b = complex(a), complex(b)
-        for point in (a, b):
-            if not self.contains(point):
-                raise PathOutsideDomainError(f"endpoint {point} outside the corridor domain")
+    def waypoints(self, a: complex, b: complex) -> tuple[complex, ...]:
         yc = self.corridor_height
-        path = PolylinePath([a, complex(a.real, yc), complex(b.real, yc), b])
-        budget = self.path_budget
-        assert path.length <= budget.M + 1e-12
-        _verify_inside(self, path)
-        return path, budget
+        return complex(a.real, yc), complex(b.real, yc)
 
     def to_data(self) -> dict:
         return {"variant": "corridor", "profile": self.profile.tolist(), "floor": self.floor}
@@ -328,8 +307,8 @@ class CorridorDomain(DomainSpec):
         return f"CorridorDomain(floor={self.floor}, {len(self.profile)} profile samples)"
 
 
-def bounded_path(domain: DomainSpec, a: complex, b: complex) -> tuple[PolylinePath, PathBudget]:
-    """Joining path inside the domain together with its length budget."""
+def bounded_path(domain: DomainSpec, a: complex, b: complex) -> tuple[PolylinePath, float]:
+    """Joining path inside the domain together with its length budget M."""
     return domain.bounded_path(a, b)
 
 
@@ -369,8 +348,8 @@ def _bisect(f, a: complex, b: complex, tol: float, whole: complex, depth: int) -
     return _bisect(f, a, mid, tol / 2.0, left, depth + 1) + _bisect(f, mid, b, tol / 2.0, right, depth + 1)
 
 
-def path_integral(f, path, tol: float = QUAD_TOL) -> complex:
-    """Integral of f along a polyline or circle, to the requested tolerance."""
+def path_integral(f, path) -> complex:
+    """Integral of f along a polyline or circle, to absolute tolerance QUAD_TOL."""
     if isinstance(path, CirclePath):
         def g(theta):
             z = path.center + path.radius * complex(math.cos(theta), math.sin(theta))
@@ -379,20 +358,18 @@ def path_integral(f, path, tol: float = QUAD_TOL) -> complex:
 
         pieces = np.linspace(0.0, 2.0 * math.pi, 9)
         return sum(
-            adaptive_gauss_legendre(g, a, b, tol / 8.0) for a, b in zip(pieces, pieces[1:])
+            adaptive_gauss_legendre(g, a, b, QUAD_TOL / 8.0) for a, b in zip(pieces, pieces[1:])
         )
     segments = path.segments()
-    if not segments:
-        return 0j
     acc = 0j
     for a, b in segments:
         if a == b:
             continue
-        acc += adaptive_gauss_legendre(f, a, b, tol / max(1, len(segments)))
+        acc += adaptive_gauss_legendre(f, a, b, QUAD_TOL / len(segments))
     return acc
 
 
-def antiderivative_at(f, domain: DomainSpec, z0: complex, z: complex, tol: float = QUAD_TOL) -> complex:
+def antiderivative_at(f, domain: DomainSpec, z0: complex, z: complex) -> complex:
     """F(z) = integral of f along the domain's bounded path from z0 to z.
 
     By construction |F(z)| <= M * (sup of |f| over the quadrature nodes),
@@ -402,18 +379,16 @@ def antiderivative_at(f, domain: DomainSpec, z0: complex, z: complex, tol: float
     if z0 == z:
         return 0j
     path, _ = domain.bounded_path(z0, z)
-    return path_integral(f, path, tol)
+    return path_integral(f, path)
 
 
-def starlike_antiderivative(f, z: complex, tol: float = QUAD_TOL) -> complex:
-    """Radial antiderivative ``int_0^1 f(t z) z dt`` for domains starlike about 0."""
-    z = complex(z)
-    if z == 0:
-        return 0j
-    return adaptive_gauss_legendre(lambda t: f(t * z) * z, 0.0, 1.0, tol)
+def starlike_antiderivative(f, z: complex) -> complex:
+    """Radial antiderivative: the integral of f along the segment [0, z],
+    for domains starlike about 0."""
+    return path_integral(f, PolylinePath([0.0, z]))
 
 
-def moment_test(f, cycle, n: int, tol: float = QUAD_TOL) -> list[complex]:
+def moment_test(f, cycle, n: int) -> list[complex]:
     """Moments ``int z^i f(z) dz`` for i = 0..n-1 over a closed cycle.
 
     All moments below tolerance is the criterion for f to admit a
@@ -421,7 +396,6 @@ def moment_test(f, cycle, n: int, tol: float = QUAD_TOL) -> list[complex]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not isinstance(cycle, CirclePath):
-        if not cycle.is_closed:
-            raise ValueError("moment test needs a closed cycle")
-    return [path_integral(lambda z, k=i: z**k * f(z), cycle, tol) for i in range(n)]
+    if not cycle.is_closed:
+        raise ValueError("moment test needs a closed cycle")
+    return [path_integral(lambda z, k=i: z**k * f(z), cycle) for i in range(n)]

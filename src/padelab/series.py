@@ -320,14 +320,11 @@ class Polynomial:
     def derivative(self, order: int = 1) -> "Polynomial":
         return Polynomial(_differentiated(self.coefficients, order), self.center)
 
-    def antiderivative(self, base_point: complex | None = None) -> "Polynomial":
-        """Antiderivative vanishing at ``base_point`` (default: the center)."""
+    def antiderivative(self) -> "Polynomial":
+        """Antiderivative vanishing at the center."""
         out = np.zeros(len(self.coefficients) + 1, dtype=complex)
         out[1:] = self.coefficients / np.arange(1, len(self.coefficients) + 1)
-        result = Polynomial(out, self.center)
-        if base_point is not None and complex(base_point) != self.center:
-            result = result - result(base_point)
-        return result
+        return Polynomial(out, self.center)
 
     def recentered(self, new_center: complex) -> "Polynomial":
         """The same polynomial expressed in powers of ``(z - new_center)``.
@@ -457,10 +454,7 @@ class RationalFunction:
         return RationalFunction(num, self.denominator * self.denominator)
 
     def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = RationalFunction(Polynomial([other], self.center), Polynomial([1.0], self.center))
-        elif isinstance(other, Polynomial):
-            other = RationalFunction(other, Polynomial([1.0], other.center))
+        other = _coerce_rational(other, self.center)
         num = self.numerator * other.denominator + other.numerator * self.denominator
         den = self.denominator * other.denominator
         return RationalFunction(num, den)
@@ -471,9 +465,7 @@ class RationalFunction:
         return RationalFunction(-self.numerator, self.denominator, _normalized=True)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex, Polynomial)):
-            return self + (-1.0) * _coerce_rational(other, self.center)
-        return self + (-other)
+        return self + (-_coerce_rational(other, self.center))
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):

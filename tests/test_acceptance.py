@@ -408,7 +408,7 @@ def test_criterion_11_bounded_antiderivative():
         for z in sample_inside(domain, base, spread, 100):
             recorder = Recorder(f)
             value = antiderivative_at(recorder, domain, z0, z)
-            margin = abs(value) - (budget.M * recorder.max_abs + 1e-9)
+            margin = abs(value) - (budget * recorder.max_abs + 1e-9)
             worst_margin = max(worst_margin, margin)
             if margin > 0:
                 violations += 1

@@ -171,6 +171,12 @@ class TestNoTraceback:
         ("divergence --eps-min 0 --eps-max 1e-2", EXIT_PRECONDITION),
         ("universality --s 0", EXIT_PRECONDITION),
         ("universality --s -1", EXIT_PRECONDITION),
+        ("universality --ell-max -1", EXIT_PRECONDITION),
+        ("universality --max-degree -1", EXIT_PRECONDITION),
+        ("universality --tol -1", EXIT_PRECONDITION),
+        ("universality --tol nan", EXIT_PRECONDITION),
+        ("divergence --eps-min 1e-2 --eps-max 1e-8", EXIT_PRECONDITION),
+        ("divergence --per-decade 0", EXIT_PRECONDITION),
         ("cascade --grid 5", EXIT_PRECONDITION),
         ("chordal --a=-inf --b 0", EXIT_OK),
         ("chordal --a=infj --b 0", EXIT_OK),

@@ -261,6 +261,19 @@ class TestUniversalityCertificate:
         with pytest.raises(PreconditionError, match=f"^s must be at least 1, got {s}$"):
             universality_certificate(phi, grid, circle_sample(3.0, 0.5, 16), grid, phi, 1, 1, s)
 
+    @pytest.mark.parametrize("order", [-1, -3])
+    def test_negative_derivative_order_rejected_before_any_approximant(self, order, monkeypatch):
+        def no_approximant(*args):
+            raise AssertionError("an approximant was built")
+
+        monkeypatch.setattr(construct, "pade_construct", no_approximant)
+        phi = rational([1.0, 2.0], [1.0, -1.0])
+        grid = disc_grid_sample(0.0, 0.3, 3)
+        with pytest.raises(PreconditionError, match=f"^max_derivative_order must be non-negative, got {order}$"):
+            universality_certificate(
+                phi, grid, circle_sample(3.0, 0.5, 16), grid, phi, 1, 1, 10, max_derivative_order=order
+            )
+
 
 def universality_population(seed, count):
     """Seeded pipeline runs around a pole near 2: (target, K, centre grid, s).

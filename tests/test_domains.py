@@ -51,24 +51,24 @@ class TestBoundedPath:
         disc = DiscDomain(0.0, 1.0)
         path, budget = bounded_path(disc, -0.9, 0.9)
         assert abs(path.length - 1.8) < 1e-12
-        assert budget.M == 2.0
-        assert path.length <= budget.M
+        assert budget == 2.0
+        assert path.length <= budget
 
     def test_starlike_two_segments_through_center(self):
         star = StarlikeDomain(0.0, lambda theta: 1.0)
         path, budget = bounded_path(star, 0.9j, 0.9)
         assert len(path.vertices) == 3
         assert abs(path.length - 1.8) < 1e-12
-        assert budget.M == 2.0 * star.diameter
-        assert abs(budget.M - 4.0) < 1e-6
+        assert budget == 2.0 * star.diameter
+        assert abs(budget - 4.0) < 1e-6
 
     def test_corridor_path_under_wiggly_profile(self):
         dom = CorridorDomain(wiggly_profile, 0.0)
         a = complex(0.1, 0.9 * dom.height_at(0.1))
         b = complex(0.9, 0.9 * dom.height_at(0.9))
         path, budget = bounded_path(dom, a, b)
-        assert path.length <= budget.M
-        assert budget.M == 2.0 * (dom.profile.max() - 0.0) + 1.0
+        assert path.length <= budget
+        assert budget == 2.0 * (dom.profile.max() - 0.0) + 1.0
 
     def test_endpoint_outside_rejected(self):
         disc = DiscDomain(0.0, 1.0)
