@@ -23,6 +23,10 @@ tame near 0, partial integrals accumulate with compensated summation, and
 branch unambiguous; violating that raises).  The integrals run through
 :func:`padelab.domains.adaptive_gauss_legendre`, which raises
 QuadratureError when a piece does not converge.
+
+:func:`boundary_integrand` takes a float or an array of t.  The engine
+hands it the 16 nodes of a piece in one call, and the pair (h t, |h| t) is
+integrated in one run, so h is evaluated once per node.
 """
 
 from __future__ import annotations
@@ -105,25 +109,40 @@ def orthocircle_invariants(r: float, sample_count: int) -> OrthocircleInvariants
     )
 
 
-def boundary_integrand(t: float) -> complex:
+def boundary_integrand(t):
     """h(t) = e^{it} ((e^{it}-3)/(e^{it}-1)) / log(1-e^{it}) for 0 < t < pi.
 
+    t is a float or an array; a float gives a ``complex``, an array gives
+    an array of the same shape, equal to the float calls bit for bit.
     e^{it}-1 is formed through the half-angle identity, so it keeps its
     relative accuracy as t -> 0.
     """
-    if not 0.0 < t < math.pi:
+    shape = np.shape(t)
+    # 1-D even for a float: NumPy's scalar arithmetic rounds some complex
+    # products differently from its array loops
+    t = np.asarray(t, dtype=float).reshape(-1)
+    if not ((0.0 < t) & (t < math.pi)).all():
         raise PreconditionError(f"boundary integrand defined for 0 < t < pi, got {t}")
-    eit = cmath.exp(1j * t)
-    em1 = 2j * math.sin(t / 2.0) * cmath.exp(1j * t / 2.0)  # e^{it} - 1
+    eit = np.exp(1j * t)
+    em1 = 2j * np.sin(t / 2.0) * np.exp(1j * t / 2.0)  # e^{it} - 1
     one_minus = -em1
-    if one_minus.real <= 0:
+    if (one_minus.real <= 0).any():
         raise PreconditionError(f"log branch cut approached at t = {t}")
-    return eit * ((eit - 3.0) / em1) / cmath.log(one_minus)
+    ratio = (eit - 3.0) / em1
+    # both factors named: NumPy reuses a large temporary in place and may
+    # swap the factors of a product, which can round differently
+    h = eit * ratio / np.log(one_minus)
+    return complex(h[0]) if shape == () else h.reshape(shape)
 
 
 def boundary_arg(t: float) -> float:
     """arg h(t), in (-pi, pi]."""
     return cmath.phase(boundary_integrand(t))
+
+
+def _boundary_args(t: np.ndarray) -> list[float]:
+    """arg h at every t of a 1-D array from one call of h; each equals boundary_arg."""
+    return [cmath.phase(h) for h in boundary_integrand(t).tolist()]
 
 
 def arg_cauchy_gaps(k_max: int, k_min: int = 1) -> list[tuple[int, float]]:
@@ -180,14 +199,19 @@ def _kahan_add(total: complex, carry: complex, term: complex) -> tuple[complex, 
     return t, carry
 
 
-def _integrate_log_substituted(func, s_lo: float, s_hi: float) -> complex:
-    """Adaptive Gauss-Legendre of func(t) e^{-s} ds with t = e^{-s}, to DIVERGENCE_TOL."""
+def _log_substituted_pair(s_lo: float, s_hi: float):
+    """(int h dt, int |h| dt) over t = e^{-s}, s in [s_lo, s_hi], to DIVERGENCE_TOL.
 
-    def g(s: float) -> complex:
-        t = math.exp(-s)
-        return func(t) * t
+    One adaptive Gauss-Legendre run integrates the pair (h(t) t, |h(t)| t)
+    in s, so h is evaluated once per node.
+    """
 
-    return adaptive_gauss_legendre(g, s_lo, s_hi, DIVERGENCE_TOL)
+    def pair(s: np.ndarray) -> np.ndarray:
+        t = np.exp(-s)
+        h = boundary_integrand(t)
+        return np.array([h * t, np.abs(h) * t]).T  # components on the last axis
+
+    return adaptive_gauss_legendre(pair, s_lo, s_hi, DIVERGENCE_TOL)
 
 
 def comparator_value(eps: float, t0: float) -> float:
@@ -217,15 +241,13 @@ def divergence_experiment(eps_list, t0: float = 0.5) -> DivergenceReport:
     if t0 >= 1.0:
         raise PreconditionError("comparator column needs t0 < 1")
 
-    h = boundary_integrand
     rows = []
     total_I, carry_I = 0j, 0j
     total_J, carry_J = 0j, 0j
     s_prev = math.log(1.0 / t0)
-    for eps in eps_list:
+    for eps, arg_h in zip(eps_list, _boundary_args(np.array(eps_list))):
         s_eps = math.log(1.0 / eps)
-        piece_I = _integrate_log_substituted(h, s_prev, s_eps)
-        piece_J = _integrate_log_substituted(lambda t: abs(h(t)), s_prev, s_eps)
+        piece_I, piece_J = _log_substituted_pair(s_prev, s_eps)
         total_I, carry_I = _kahan_add(total_I, carry_I, piece_I)
         total_J, carry_J = _kahan_add(total_J, carry_J, piece_J)
         s_prev = s_eps
@@ -235,26 +257,20 @@ def divergence_experiment(eps_list, t0: float = 0.5) -> DivergenceReport:
                 I=abs(total_I),
                 J=total_J.real,
                 comparator=comparator_value(eps, t0),
-                arg_h=boundary_arg(eps),
+                arg_h=arg_h,
             )
         )
 
     window = _half_mass_window(eps_list[-1], t0)
-    i_win = abs(_integrate_log_substituted(h, math.log(1.0 / window[1]), math.log(1.0 / window[0])))
-    j_win = _integrate_log_substituted(lambda t: abs(h(t)), math.log(1.0 / window[1]), math.log(1.0 / window[0])).real
-    return DivergenceReport(t0, tuple(rows), window, i_win, j_win)
+    i_win, j_win = _log_substituted_pair(math.log(1.0 / window[1]), math.log(1.0 / window[0]))
+    return DivergenceReport(t0, tuple(rows), window, abs(i_win), j_win.real)
 
 
 def _half_mass_window(eps: float, t0: float) -> tuple[float, float]:
     """Largest [eps, t1] (t1 <= t0) whose sampled arg variation is < pi/3."""
     count = 400
-    ss = np.linspace(math.log(1.0 / t0), math.log(1.0 / eps), count)
-    args = np.array([boundary_arg(math.exp(-s)) for s in ss])
-    lo, hi = args[-1], args[-1]
-    t1 = t0
-    for s, a in zip(ss[::-1], args[::-1]):
-        lo, hi = min(lo, a), max(hi, a)
-        if hi - lo >= math.pi / 3.0:
-            break
-        t1 = math.exp(-s)
-    return (eps, t1)
+    ss = np.linspace(math.log(1.0 / t0), math.log(1.0 / eps), count)[::-1]  # from eps upwards
+    args = _boundary_args(np.exp(-ss))
+    wide = np.maximum.accumulate(args) - np.minimum.accumulate(args) >= math.pi / 3.0
+    kept = int(wide.argmax()) if wide.any() else count  # the first sample is always kept
+    return (eps, math.exp(-ss[kept - 1]))

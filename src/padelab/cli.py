@@ -20,9 +20,10 @@ flags: rational functions under "rationals" (numerator/denominator
 coefficient arrays of [re, im] pairs), domains under "domains" and
 samples under "samples".
 
-Path integrals (moments) and the divergence experiment share one adaptive
-Gauss-Legendre engine; its non-convergence raises QuadratureError, which
-exits with code 3.
+Moments on a circle use a doubling trapezoidal rule and the divergence
+experiment the adaptive Gauss-Legendre engine; a rule that does not
+converge, or meets a value that is not finite, raises QuadratureError,
+which exits with code 3.
 """
 
 from __future__ import annotations
@@ -55,6 +56,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError; takes options by their full names only, so a
+    removed or renamed option cannot silently match another one's prefix."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 

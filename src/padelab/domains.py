@@ -17,13 +17,27 @@ and checks it against M and against the domain.  The corridor descends to
 ``c + CORRIDOR_MARGIN * (min phi - c)`` so the path stays strictly
 interior for sampled profiles.
 
-Path integrals use composite 16-node Gauss-Legendre per segment with
-adaptive bisection to absolute tolerance QUAD_TOL; the node set is
-deterministic, so repeated runs give identical values.
-:func:`adaptive_gauss_legendre` is the package's one quadrature engine
-(the divergence experiment in ``blowup`` uses it too); a segment that
-does not converge within MAX_BISECTIONS bisections raises QuadratureError
-rather than returning its last estimate.
+Path integrals run on NumPy arrays where the integrand allows it:
+
+* on a :class:`CirclePath`, a doubling trapezoidal rule.  For a periodic
+  analytic integrand it converges geometrically (Trefethen & Weideman,
+  SIAM Review 56, 2014).  It starts at TRAPEZOID_START nodes; each
+  doubling evaluates f once on the array of new nodes, until two
+  successive estimates agree.  A rule that still disagrees at
+  TRAPEZOID_MAX_NODES nodes, or meets a value that is not finite, raises
+  QuadratureError.  So f must accept an ndarray of points on a circle.
+* on a :class:`PolylinePath`, composite 16-node Gauss-Legendre per segment
+  with adaptive bisection.  There f is called one node at a time, so a
+  scalar-only function such as ``cmath.exp`` may be integrated.
+
+:func:`adaptive_gauss_legendre` is the package's one interval engine (the
+divergence experiment in ``blowup`` uses it too).  It evaluates the 16
+nodes of a piece in one call, and the values may carry a trailing
+component axis.  A segment that does not converge within MAX_BISECTIONS
+bisections raises QuadratureError rather than returning its last estimate.
+Both rules use the acceptance test ``max(QUAD_TOL, 4e-15 |estimate|)``,
+and their node sets are deterministic, so repeated runs give identical
+values.
 """
 
 from __future__ import annotations
@@ -39,6 +53,8 @@ CORRIDOR_MARGIN = 0.05
 GAUSS_ORDER = 16
 QUAD_TOL = 1e-12
 MAX_BISECTIONS = 24
+TRAPEZOID_START = 64
+TRAPEZOID_MAX_NODES = 2**14
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
@@ -315,31 +331,36 @@ def bounded_path(domain: DomainSpec, a: complex, b: complex) -> tuple[PolylinePa
 # --- quadrature ---------------------------------------------------------------
 
 
-def _gauss_segment(f, a: complex, b: complex) -> complex:
+def _gauss_segment(f, a: complex, b: complex):
     mid, rad = (a + b) / 2.0, (b - a) / 2.0
-    acc = 0j
-    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-        acc += w * f(mid + rad * x)
-    return acc * rad
+    return rad * (_GL_WEIGHTS @ f(mid + rad * _GL_NODES))
 
 
-def adaptive_gauss_legendre(f, a: complex, b: complex, tol: float) -> complex:
+def _agree(estimate, previous, tol: float) -> bool:
+    """The acceptance test of both rules, for every component."""
+    # relative floor: successive estimates cannot agree below roundoff scale
+    return bool((abs(estimate - previous) <= np.maximum(tol, 4e-15 * abs(estimate))).all())
+
+
+def adaptive_gauss_legendre(f, a: complex, b: complex, tol: float):
     """Integral of f over the real or complex segment [a, b], to absolute tolerance tol.
 
+    f takes the array of a piece's 16 nodes and returns their values, with
+    an optional trailing component axis; the result then has that axis.
     Each step compares one 16-node Gauss-Legendre estimate with the sum over
-    the two halves and bisects until they agree; raises QuadratureError when
-    a piece is still unresolved after MAX_BISECTIONS bisections.
+    the two halves and bisects until every component agrees; raises
+    QuadratureError when a piece is still unresolved after MAX_BISECTIONS
+    bisections.
     """
     return _bisect(f, a, b, tol, _gauss_segment(f, a, b), 0)
 
 
-def _bisect(f, a: complex, b: complex, tol: float, whole: complex, depth: int) -> complex:
+def _bisect(f, a: complex, b: complex, tol: float, whole, depth: int):
     """One step of :func:`adaptive_gauss_legendre`; ``whole`` is the parent's half."""
     mid = (a + b) / 2.0
     left, right = _gauss_segment(f, a, mid), _gauss_segment(f, mid, b)
     halves = left + right
-    # relative floor: successive estimates cannot agree below roundoff scale
-    if abs(halves - whole) <= max(tol, 4e-15 * abs(halves)):
+    if _agree(halves, whole, tol):
         return halves
     if depth >= MAX_BISECTIONS:
         raise QuadratureError(
@@ -348,24 +369,52 @@ def _bisect(f, a: complex, b: complex, tol: float, whole: complex, depth: int) -
     return _bisect(f, a, mid, tol / 2.0, left, depth + 1) + _bisect(f, mid, b, tol / 2.0, right, depth + 1)
 
 
-def path_integral(f, path) -> complex:
-    """Integral of f along a polyline or circle, to absolute tolerance QUAD_TOL."""
-    if isinstance(path, CirclePath):
-        def g(theta):
-            z = path.center + path.radius * complex(math.cos(theta), math.sin(theta))
-            dz = path.radius * complex(-math.sin(theta), math.cos(theta))
-            return f(z) * dz
+def _circle_integral(f, path: CirclePath) -> complex:
+    """Doubling trapezoidal rule for the integral of f around a circle."""
 
-        pieces = np.linspace(0.0, 2.0 * math.pi, 9)
-        return sum(
-            adaptive_gauss_legendre(g, a, b, QUAD_TOL / 8.0) for a, b in zip(pieces, pieces[1:])
-        )
+    def node_sum(theta: np.ndarray) -> complex:
+        # sum of f(z) dz/dtheta at the angles theta, in one call of f
+        w = path.radius * np.exp(1j * theta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = f(path.center + w) * (1j * w)
+        if not np.isfinite(values).all():
+            raise QuadratureError(f"integrand not finite at a node of {path}")
+        return np.sum(values)
+
+    n = TRAPEZOID_START
+    total = node_sum(2.0 * math.pi / n * np.arange(n))
+    estimate = 2.0 * math.pi / n * total
+    while n < TRAPEZOID_MAX_NODES:
+        # the n new nodes of the doubled rule are the midpoints of the old ones
+        total += node_sum(2.0 * math.pi / n * (np.arange(n) + 0.5))
+        n *= 2
+        previous, estimate = estimate, 2.0 * math.pi / n * total
+        if _agree(estimate, previous, QUAD_TOL):
+            return complex(estimate)
+    raise QuadratureError(f"no convergence after {n} nodes on {path}")
+
+
+def path_integral(f, path) -> complex:
+    """Integral of f along a polyline or circle, to absolute tolerance QUAD_TOL.
+
+    On a circle f is called on ndarrays of nodes: the trapezoidal rule
+    needs up to TRAPEZOID_MAX_NODES of them, too many for a Python loop.
+    On a polyline f is called one node at a time, so a scalar-only
+    function (``cmath.exp``, a recorder of the points it is called at) can
+    be integrated along the paths of :func:`antiderivative_at`.
+    """
+    if isinstance(path, CirclePath):
+        return _circle_integral(f, path)
+
+    def at_nodes(z):
+        return np.array([f(x) for x in z.tolist()])
+
     segments = path.segments()
     acc = 0j
     for a, b in segments:
         if a == b:
             continue
-        acc += adaptive_gauss_legendre(f, a, b, QUAD_TOL / len(segments))
+        acc += adaptive_gauss_legendre(at_nodes, a, b, QUAD_TOL / len(segments))
     return acc
 
 
@@ -392,7 +441,10 @@ def moment_test(f, cycle, n: int) -> list[complex]:
     """Moments ``int z^i f(z) dz`` for i = 0..n-1 over a closed cycle.
 
     All moments below tolerance is the criterion for f to admit a
-    single-valued antiderivative of order n near the cycle.
+    single-valued antiderivative of order n near the cycle.  On a
+    :class:`CirclePath` f is called on arrays of points (the trapezoidal
+    rule of :func:`path_integral`); on a closed polyline, one point at a
+    time.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

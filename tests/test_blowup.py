@@ -16,6 +16,8 @@ from padelab import (
     singular_inner,
 )
 import padelab.blowup
+from padelab.blowup import DIVERGENCE_TOL
+from padelab.domains import adaptive_gauss_legendre
 from padelab.errors import PreconditionError, QuadratureError, SingularPointError
 
 
@@ -98,9 +100,21 @@ class TestBoundaryIntegrand:
         assert abs(direct) < 10.0
 
     def test_domain_endpoints_rejected(self):
-        for t in (0.0, -0.5, math.pi):
+        for t in (0.0, -0.5, math.pi, math.nan):
             with pytest.raises(PreconditionError):
                 boundary_integrand(t)
+            with pytest.raises(PreconditionError):
+                boundary_integrand(np.array([[0.1, 0.2], [t, 0.3]]))
+
+    def test_array_equals_float_calls_bit_for_bit(self):
+        # more than 2^14 values: NumPy reuses temporaries that large in place
+        t = np.concatenate([np.linspace(1e-3, 3.14, 8192), np.exp(-np.linspace(0.0, 40.0, 8292))])
+        values = boundary_integrand(t)
+        one_by_one = np.array([boundary_integrand(float(x)) for x in t])
+        assert values.shape == t.shape
+        assert values.tobytes() == one_by_one.tobytes()
+        assert type(boundary_integrand(0.25)) is complex
+        assert boundary_integrand(t.reshape(2, -1)).tobytes() == values.tobytes()
 
 
 class TestArgCauchyProperty:
@@ -160,12 +174,32 @@ class TestDivergenceExperiment:
         report = divergence_experiment([eps], t0=t0)
         assert abs(report.rows[0].I - abs(trapz)) < 1e-6
 
+    def test_joint_piece_matches_separate_runs(self):
+        # one run of the pair (h t, |h| t) against one run per component, in
+        # s = ln(1/t); each meets DIVERGENCE_TOL
+        t0, eps = 0.5, 1e-4
+        report = divergence_experiment([eps], t0=t0)
+
+        def h_t(s):
+            t = np.exp(-s)
+            return boundary_integrand(t) * t
+
+        def abs_h_t(s):
+            t = np.exp(-s)
+            return np.abs(boundary_integrand(t)) * t
+
+        s_lo, s_hi = math.log(1.0 / t0), math.log(1.0 / eps)
+        i_alone = adaptive_gauss_legendre(h_t, s_lo, s_hi, DIVERGENCE_TOL)
+        j_alone = adaptive_gauss_legendre(abs_h_t, s_lo, s_hi, DIVERGENCE_TOL)
+        assert abs(report.rows[0].I - abs(i_alone)) <= DIVERGENCE_TOL
+        assert abs(report.rows[0].J - j_alone.real) <= DIVERGENCE_TOL
+
     def test_unresolved_integrand_raises(self, monkeypatch):
         # a jump at t = 0.1 (not a bisection point in s) keeps the piece
         # around it from converging; the integral must raise, not return
         # its last estimate (0.4 - 8.5e-11, off by more than tol = 1e-11)
         monkeypatch.setattr(padelab.blowup, "boundary_integrand",
-                            lambda t: 1 + 0j if t > 0.1 else 0j)
+                            lambda t: np.where(t > 0.1, 1 + 0j, 0j))
         with pytest.raises(QuadratureError):
             divergence_experiment([1e-2, 1e-4], 0.5)
 

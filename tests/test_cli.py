@@ -80,6 +80,16 @@ class TestDispatch:
             assert [str(w.message) for w in caught] == []
             assert capsys.readouterr() == (want, "")
 
+    def test_pole_on_a_trapezoid_node_prints_no_warning(self, capsys):
+        # the circle through 0 puts the pole of 1/z on the node at angle 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["moments", "--f", "one-over-z", "--cycle", "circle:-1,0,1"]) == EXIT_NUMERIC
+        assert [str(w.message) for w in caught] == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
     def test_divergence_csv_contract(self, tmp_path):
         out = tmp_path / "div.csv"
         assert run(["divergence", "--eps-min", "1e-4", "--eps-max", "1e-2",
@@ -178,6 +188,7 @@ class TestNoTraceback:
         ("divergence --eps-min 1e-2 --eps-max 1e-8", EXIT_PRECONDITION),
         ("divergence --per-decade 0", EXIT_PRECONDITION),
         ("cascade --grid 5", EXIT_PRECONDITION),
+        ("cascade --f json", EXIT_USAGE),  # no option is abbreviated, --f is not --format
         ("chordal --a=-inf --b 0", EXIT_OK),
         ("chordal --a=infj --b 0", EXIT_OK),
         ("chordal --a nan --b 0", EXIT_OK),

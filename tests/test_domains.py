@@ -17,6 +17,7 @@ from padelab import (
     path_integral,
     starlike_antiderivative,
 )
+from padelab.domains import QUAD_TOL
 from padelab.errors import PathOutsideDomainError, QuadratureError
 
 from conftest import complex_normal
@@ -92,6 +93,28 @@ class TestPathIntegral:
     def test_unresolved_integrand_raises(self):
         with pytest.raises(QuadratureError):
             path_integral(lambda z: 1.0 if z.real > 0.1 else 0.0, PolylinePath([0, 1]))
+
+
+class TestCircleTrapezoid:
+    @pytest.mark.parametrize("k", range(-3, 4))
+    def test_residue_theorem_at_every_scale(self, k):
+        # f dz is invariant under z -> 2^k z, so one bound serves every scale:
+        # the rule's own tolerance QUAD_TOL around 2 pi i (2 + 0) = 4 pi i
+        scale = 2.0 ** k
+        centre, radius = (0.3 - 0.2j) * scale, 0.7 * scale
+        inside = centre + 0.4 * radius * cmath.exp(1j)
+        outside = centre + 1.6 * radius * cmath.exp(2j)
+        value = path_integral(lambda z: 2.0 / (z - inside) + 3.0 / (z - outside),
+                              CirclePath(centre, radius))
+        assert abs(value - 4j * math.pi) <= QUAD_TOL
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_pole_at_relative_gap_1e_minus_4_raises(self, side):
+        # the error decays like (1 + 1e-4)^-N, still about e^-1.6 at N = 2^14
+        radius = 0.8
+        pole = 0.1 + radius * (1.0 + side * 1e-4) * cmath.exp(0.5j)
+        with pytest.raises(QuadratureError, match="^no convergence after 16384 nodes"):
+            path_integral(lambda z: 1.0 / (z - pole), CirclePath(0.1, radius))
 
 
 class TestAntiderivative:
