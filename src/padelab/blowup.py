@@ -24,9 +24,11 @@ branch unambiguous; violating that raises).  The integrals run through
 :func:`padelab.domains.adaptive_gauss_legendre`, which raises
 QuadratureError when a piece does not converge.
 
-:func:`boundary_integrand` takes a float or an array of t.  The engine
-hands it the 16 nodes of a piece in one call, and the pair (h t, |h| t) is
-integrated in one run, so h is evaluated once per node.
+:func:`boundary_integrand` takes a float or an array of t.  One batched run
+of the engine integrates every eps piece and the half-mass window together,
+so each bisection level calls h once, on the nodes of all unresolved
+pieces; the pair (h t, |h| t) is integrated at once, so h is evaluated once
+per node.
 """
 
 from __future__ import annotations
@@ -199,11 +201,13 @@ def _kahan_add(total: complex, carry: complex, term: complex) -> tuple[complex, 
     return t, carry
 
 
-def _log_substituted_pair(s_lo: float, s_hi: float):
-    """(int h dt, int |h| dt) over t = e^{-s}, s in [s_lo, s_hi], to DIVERGENCE_TOL.
+def _log_substituted_pairs(s_lo, s_hi) -> np.ndarray:
+    """(int h dt, int |h| dt) over t = e^{-s}, s in [s_lo[k], s_hi[k]], to DIVERGENCE_TOL.
 
-    One adaptive Gauss-Legendre run integrates the pair (h(t) t, |h(t)| t)
-    in s, so h is evaluated once per node.
+    One batched adaptive Gauss-Legendre run integrates the pair
+    (h(t) t, |h(t)| t) in s over every interval, so h is evaluated once per
+    node and once per level of the engine; row k of the result is the pair
+    of interval k.
     """
 
     def pair(s: np.ndarray) -> np.ndarray:
@@ -241,29 +245,28 @@ def divergence_experiment(eps_list, t0: float = 0.5) -> DivergenceReport:
     if t0 >= 1.0:
         raise PreconditionError("comparator column needs t0 < 1")
 
-    rows = []
+    # the pieces between t0 > eps_1 > eps_2 > ... and the half-mass window, in one engine run
+    window = _half_mass_window(eps_list[-1], t0)
+    s_edges = [math.log(1.0 / t0)] + [math.log(1.0 / eps) for eps in eps_list]
+    s_lo = s_edges[:-1] + [math.log(1.0 / window[1])]
+    s_hi = s_edges[1:] + [math.log(1.0 / window[0])]
+    *pieces, (i_win, j_win) = _log_substituted_pairs(s_lo, s_hi).tolist()
+    totals = _compensated_running_sums(pieces)
+    rows = tuple(
+        DivergenceRow(eps=eps, I=abs(total_I), J=total_J.real, comparator=comparator_value(eps, t0), arg_h=arg_h)
+        for eps, arg_h, (total_I, total_J) in zip(eps_list, _boundary_args(np.array(eps_list)), totals)
+    )
+    return DivergenceReport(t0, rows, window, abs(i_win), j_win.real)
+
+
+def _compensated_running_sums(pieces):
+    """Running sums of (I, J) piece pairs, each component with Kahan summation."""
     total_I, carry_I = 0j, 0j
     total_J, carry_J = 0j, 0j
-    s_prev = math.log(1.0 / t0)
-    for eps, arg_h in zip(eps_list, _boundary_args(np.array(eps_list))):
-        s_eps = math.log(1.0 / eps)
-        piece_I, piece_J = _log_substituted_pair(s_prev, s_eps)
+    for piece_I, piece_J in pieces:
         total_I, carry_I = _kahan_add(total_I, carry_I, piece_I)
         total_J, carry_J = _kahan_add(total_J, carry_J, piece_J)
-        s_prev = s_eps
-        rows.append(
-            DivergenceRow(
-                eps=eps,
-                I=abs(total_I),
-                J=total_J.real,
-                comparator=comparator_value(eps, t0),
-                arg_h=arg_h,
-            )
-        )
-
-    window = _half_mass_window(eps_list[-1], t0)
-    i_win, j_win = _log_substituted_pair(math.log(1.0 / window[1]), math.log(1.0 / window[0]))
-    return DivergenceReport(t0, tuple(rows), window, abs(i_win), j_win.real)
+        yield total_I, total_J
 
 
 def _half_mass_window(eps: float, t0: float) -> tuple[float, float]:

@@ -26,15 +26,22 @@ Path integrals run on NumPy arrays where the integrand allows it:
   successive estimates agree.  A rule that still disagrees at
   TRAPEZOID_MAX_NODES nodes, or meets a value that is not finite, raises
   QuadratureError.  So f must accept an ndarray of points on a circle.
-* on a :class:`PolylinePath`, composite 16-node Gauss-Legendre per segment
-  with adaptive bisection.  There f is called one node at a time, so a
-  scalar-only function such as ``cmath.exp`` may be integrated.
+* on a :class:`PolylinePath`, composite 16-node Gauss-Legendre with
+  adaptive bisection, all segments in one run of the engine.  There f is
+  called one node at a time, so a scalar-only function such as
+  ``cmath.exp`` may be integrated.
 
 :func:`adaptive_gauss_legendre` is the package's one interval engine (the
-divergence experiment in ``blowup`` uses it too).  It evaluates the 16
-nodes of a piece in one call, and the values may carry a trailing
-component axis.  A segment that does not converge within MAX_BISECTIONS
-bisections raises QuadratureError rather than returning its last estimate.
+divergence experiment in ``blowup`` uses it too).  It takes a batch of
+intervals and works level by level: each level calls f once, on the nodes
+of both halves of every unresolved piece, and the values may carry a
+trailing component axis.  The accepted sums are folded back in the order
+of a depth-first recursion, so an interval's integral does not depend on
+the rest of its batch.  A piece that does not converge within
+MAX_BISECTIONS bisections, or a level that would hold more than
+MAX_LIVE_PER_INTERVAL pieces per input interval, raises QuadratureError
+rather than returning its last estimate; the second bound keeps the memory
+of a level within a fixed multiple of the batch's own.
 Both rules use the acceptance test ``max(QUAD_TOL, 4e-15 |estimate|)``,
 and their node sets are deterministic, so repeated runs give identical
 values.
@@ -53,6 +60,7 @@ CORRIDOR_MARGIN = 0.05
 GAUSS_ORDER = 16
 QUAD_TOL = 1e-12
 MAX_BISECTIONS = 24
+MAX_LIVE_PER_INTERVAL = 256
 TRAPEZOID_START = 64
 TRAPEZOID_MAX_NODES = 2**14
 
@@ -331,42 +339,104 @@ def bounded_path(domain: DomainSpec, a: complex, b: complex) -> tuple[PolylinePa
 # --- quadrature ---------------------------------------------------------------
 
 
-def _gauss_segment(f, a: complex, b: complex):
-    mid, rad = (a + b) / 2.0, (b - a) / 2.0
-    return rad * (_GL_WEIGHTS @ f(mid + rad * _GL_NODES))
+def _close(estimate, previous, tol):
+    """Elementwise part of the acceptance test; tol broadcasts against estimate."""
+    # relative floor: successive estimates cannot agree below roundoff scale
+    return abs(estimate - previous) <= np.maximum(tol, 4e-15 * abs(estimate))
 
 
 def _agree(estimate, previous, tol: float) -> bool:
     """The acceptance test of both rules, for every component."""
-    # relative floor: successive estimates cannot agree below roundoff scale
-    return bool((abs(estimate - previous) <= np.maximum(tol, 4e-15 * abs(estimate))).all())
+    return bool(_close(estimate, previous, tol).all())
 
 
-def adaptive_gauss_legendre(f, a: complex, b: complex, tol: float):
-    """Integral of f over the real or complex segment [a, b], to absolute tolerance tol.
+def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """16-node Gauss-Legendre estimates on the panels [lo[k], hi[k]], from one call of f.
 
-    f takes the array of a piece's 16 nodes and returns their values, with
-    an optional trailing component axis; the result then has that axis.
-    Each step compares one 16-node Gauss-Legendre estimate with the sum over
-    the two halves and bisects until every component agrees; raises
-    QuadratureError when a piece is still unresolved after MAX_BISECTIONS
-    bisections.
+    f gets the flat array of every panel's nodes.  Each weighted sum is
+    reduced along its own contiguous row of 16 products, whatever the memory
+    layout of f's values, so a panel's estimate does not depend on which
+    other panels share the call.
     """
-    return _bisect(f, a, b, tol, _gauss_segment(f, a, b), 0)
+    mid, rad = (lo + hi) / 2.0, (hi - lo) / 2.0
+    values = np.asarray(f((mid[:, None] + rad[:, None] * _GL_NODES).reshape(-1)))
+    components = np.shape(values)[1:]
+    rows = np.moveaxis(values.reshape(len(lo), GAUSS_ORDER, math.prod(components)), 1, 2)
+    total = np.multiply(rows, _GL_WEIGHTS, order="C").sum(axis=-1).reshape(len(lo), *components)
+    return _per_piece(rad, total) * total
 
 
-def _bisect(f, a: complex, b: complex, tol: float, whole, depth: int):
-    """One step of :func:`adaptive_gauss_legendre`; ``whole`` is the parent's half."""
-    mid = (a + b) / 2.0
-    left, right = _gauss_segment(f, a, mid), _gauss_segment(f, mid, b)
-    halves = left + right
-    if _agree(halves, whole, tol):
-        return halves
-    if depth >= MAX_BISECTIONS:
-        raise QuadratureError(
-            f"no convergence after {MAX_BISECTIONS} bisections on [{a}, {b}]"
-        )
-    return _bisect(f, a, mid, tol / 2.0, left, depth + 1) + _bisect(f, mid, b, tol / 2.0, right, depth + 1)
+def _per_piece(x: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """One value per piece, shaped to broadcast over the component axes of ``like``."""
+    return x.reshape(-1, *(1,) * (like.ndim - 1))
+
+
+def adaptive_gauss_legendre(f, a, b, tol):
+    """Integrals of f over the real or complex intervals [a, b], each to absolute tolerance tol.
+
+    a and b are scalars or 1-D arrays of one shape, and tol is a scalar or
+    an array of that shape; the result is one integral, or an array with
+    one integral per interval.
+    f takes a flat array of nodes and returns their values, with optional
+    trailing component axes, which the result then has too.
+
+    The engine is level-synchronous (Shampine, J. Comput. Appl. Math. 211,
+    2008): each level calls f once, on the 16 Gauss-Legendre nodes of both
+    halves of every unresolved piece, and accepts a piece where the sum over
+    its halves agrees with its whole in every component.  The others
+    bisect with half their tolerance; a half becomes its child's whole.
+    The accepted sums are folded back in the order of the depth-first
+    recursion, left half plus right half, so an interval's integral does
+    not depend on the other intervals of the batch.
+
+    Raises QuadratureError when a piece is still unresolved after
+    MAX_BISECTIONS bisections, or when a level would hold more than
+    MAX_LIVE_PER_INTERVAL pieces per input interval.
+    """
+    scalar = np.ndim(a) == np.ndim(b) == np.ndim(tol) == 0
+    lo, hi = np.atleast_1d(a, b)
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise ValueError("interval endpoints must be scalars or 1-D arrays of one shape")
+    n = lo.size
+    tol = np.zeros(n) + tol
+    mid = (lo + hi) / 2.0
+    panels = _panel_estimates(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+    whole, left, right = panels[:n], panels[n:2 * n], panels[2 * n:]
+    levels = []
+    for depth in range(MAX_BISECTIONS + 1):
+        halves = left + right
+        done = _close(halves, whole, _per_piece(tol, halves)).all(axis=tuple(range(1, halves.ndim)))
+        levels.append((halves, done))
+        live = np.flatnonzero(~done)
+        if live.size == 0:
+            break
+        if depth == MAX_BISECTIONS:
+            k = live[0]
+            raise QuadratureError(
+                f"no convergence after {MAX_BISECTIONS} bisections on [{lo[k].item()}, {hi[k].item()}]"
+            )
+        if 2 * live.size > MAX_LIVE_PER_INTERVAL * n:
+            raise QuadratureError(
+                f"no convergence after {depth + 1} bisections: the next level would hold "
+                f"{2 * live.size} pieces, more than {MAX_LIVE_PER_INTERVAL} per interval"
+            )
+        # the children of a piece sit side by side, left first
+        lo, hi = _interleave(lo[live], mid[live]), _interleave(mid[live], hi[live])
+        whole, tol = _interleave(left[live], right[live]), np.repeat(tol[live] / 2.0, 2)
+        mid = (lo + hi) / 2.0
+        panels = _panel_estimates(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        left, right = panels[:lo.size], panels[lo.size:]
+
+    value = levels.pop()[0]
+    for halves, done in reversed(levels):
+        halves[~done] = value[0::2] + value[1::2]
+        value = halves
+    return value[0] if scalar else value
+
+
+def _interleave(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """first[0], second[0], first[1], second[1], ... along the leading axis."""
+    return np.stack([first, second], axis=1).reshape(-1, *first.shape[1:])
 
 
 def _circle_integral(f, path: CirclePath) -> complex:
@@ -401,7 +471,9 @@ def path_integral(f, path) -> complex:
     needs up to TRAPEZOID_MAX_NODES of them, too many for a Python loop.
     On a polyline f is called one node at a time, so a scalar-only
     function (``cmath.exp``, a recorder of the points it is called at) can
-    be integrated along the paths of :func:`antiderivative_at`.
+    be integrated along the paths of :func:`antiderivative_at`; all the
+    segments go to :func:`adaptive_gauss_legendre` as one batch, each with
+    tolerance QUAD_TOL divided by the number of segments.
     """
     if isinstance(path, CirclePath):
         return _circle_integral(f, path)
@@ -410,11 +482,10 @@ def path_integral(f, path) -> complex:
         return np.array([f(x) for x in z.tolist()])
 
     segments = path.segments()
+    lo, hi = np.array([s for s in segments if s[0] != s[1]], dtype=complex).reshape(-1, 2).T
     acc = 0j
-    for a, b in segments:
-        if a == b:
-            continue
-        acc += adaptive_gauss_legendre(at_nodes, a, b, QUAD_TOL / len(segments))
+    for value in adaptive_gauss_legendre(at_nodes, lo, hi, QUAD_TOL / len(segments)).tolist():
+        acc += value
     return acc
 
 

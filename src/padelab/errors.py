@@ -92,7 +92,7 @@ class PerturbationDegenerateError(NumericError):
 
 
 class QuadratureError(NumericError):
-    """Adaptive quadrature failed to converge within the bisection budget."""
+    """Quadrature failed to converge within its budget of bisections, pieces or nodes."""
 
 
 class VerificationError(NumericError):

@@ -1,5 +1,7 @@
 import cmath
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,13 @@ from padelab import (
     path_integral,
     starlike_antiderivative,
 )
-from padelab.domains import QUAD_TOL
+from padelab.domains import (
+    MAX_BISECTIONS,
+    QUAD_TOL,
+    _agree,
+    _panel_estimates,
+    adaptive_gauss_legendre,
+)
 from padelab.errors import PathOutsideDomainError, QuadratureError
 
 from conftest import complex_normal
@@ -93,6 +101,109 @@ class TestPathIntegral:
     def test_unresolved_integrand_raises(self):
         with pytest.raises(QuadratureError):
             path_integral(lambda z: 1.0 if z.real > 0.1 else 0.0, PolylinePath([0, 1]))
+
+    def test_returns_complex_on_both_path_kinds(self):
+        polyline = PolylinePath([0.0, 1.0 + 1j, 2.0, 2.0])
+        assert type(path_integral(lambda z: z, polyline)) is complex
+        assert type(path_integral(lambda z: 1.0, polyline)) is complex
+        assert type(path_integral(lambda z: z * z, CirclePath(0.5, 2.0))) is complex
+        # a polyline of degenerate segments only integrates to 0j
+        point = PolylinePath([0.5j, 0.5j])
+        assert type(path_integral(lambda z: z, point)) is complex and path_integral(lambda z: z, point) == 0
+
+    def test_segments_sum_in_path_order(self):
+        # one batched run over the segments equals the segment-by-segment sum
+        f = lambda z: cmath.exp(3j * z) / (z + 2.0)
+        vertices = [0.0, 1.0 + 1j, -0.5 + 2j, -1.0, -1.0]
+        total = 0j
+        for a, b in zip(vertices, vertices[1:]):
+            if a != b:
+                total += adaptive_gauss_legendre(lambda z: np.array([f(x) for x in z.tolist()]),
+                                                 a, b, QUAD_TOL / 4)
+        assert path_integral(f, PolylinePath(vertices)) == total
+
+
+class TestIntervalEngine:
+    @staticmethod
+    def components(s):
+        # two components: an oscillation and a near pole at s = -0.05
+        return np.stack([np.exp(40j * s), 1.0 / (s + 0.05) + 0j], axis=-1)
+
+    def test_batch_equals_single_calls_bit_for_bit(self):
+        # the intervals stop at different depths; the tree-order fold must
+        # give each the bits of its own run
+        lo = np.array([0.0, 0.3, -0.04, 2.0, 0.0])
+        hi = np.array([1.0, 2.0, 0.5, 1.0, 1e-3])
+        tol = np.array([1e-12, 1e-10, 1e-12, 1e-11, 1e-12])
+        batch = adaptive_gauss_legendre(self.components, lo, hi, tol)
+        assert batch.shape == (5, 2)
+        for k in range(5):
+            alone = adaptive_gauss_legendre(self.components, lo[k], hi[k], tol[k])
+            assert alone.tobytes() == batch[k].tobytes()
+        assert adaptive_gauss_legendre(self.components, lo[::-1], hi[::-1], tol[::-1]).tobytes() \
+            == batch[::-1].tobytes()
+        # the same values in Fortran order (as the divergence pair returns them)
+        fortran = adaptive_gauss_legendre(lambda s: np.asfortranarray(self.components(s)), lo, hi, tol)
+        assert fortran.tobytes() == batch.tobytes()
+
+    def test_level_engine_sums_like_the_depth_first_recursion(self):
+        # reference: the recursion the level engine replaced, one panel per
+        # call of f; the engine must reproduce its sums bit for bit
+        f = self.components
+
+        def panel(lo, hi):
+            return _panel_estimates(f, np.array([lo]), np.array([hi]))[0]
+
+        def bisect(lo, hi, tol, whole, depth):
+            mid = (lo + hi) / 2.0
+            left, right = panel(lo, mid), panel(mid, hi)
+            if _agree(left + right, whole, tol):
+                return left + right
+            assert depth < MAX_BISECTIONS
+            return bisect(lo, mid, tol / 2.0, left, depth + 1) + bisect(mid, hi, tol / 2.0, right, depth + 1)
+
+        for lo, hi in ((0.0, 1.0), (-0.04, 0.5), (-0.049, 3.0)):
+            want = bisect(lo, hi, 1e-12, panel(lo, hi), 0)
+            assert adaptive_gauss_legendre(f, lo, hi, 1e-12).tobytes() == want.tobytes()
+
+    def test_complex_intervals_bit_for_bit(self):
+        f = lambda z: np.exp(z) * z
+        lo = np.array([0.0, 1j, 0.5])
+        hi = np.array([1 + 1j, -2.0, 0.5 + 3j])
+        batch = adaptive_gauss_legendre(f, lo, hi, QUAD_TOL)
+        for a, b, value in zip(lo, hi, batch):
+            assert adaptive_gauss_legendre(f, a, b, QUAD_TOL).tobytes() == value.tobytes()
+            want = cmath.exp(b) * (b - 1.0) - cmath.exp(a) * (a - 1.0)
+            assert abs(value - want) < 1e-12
+
+    def test_one_integrand_call_per_level(self):
+        sizes = []
+
+        def f(s):
+            sizes.append(s.size)
+            return np.exp(40j * s)
+
+        adaptive_gauss_legendre(f, np.array([0.0, 1.0]), np.array([1.0, 3.0]), 1e-12)
+        # the first call holds the whole and both halves of each interval,
+        # each later one both halves of every unresolved piece: here 4
+        # pieces after the first level and 4 after the second
+        assert sizes == [2 * 3 * 16, 4 * 2 * 16, 4 * 2 * 16]
+
+    def test_piece_cap_raises_fast_and_small(self):
+        # every piece straddles a jump, so the live count doubles each level;
+        # without the cap this ran for seconds and took gigabytes before it raised
+        f = lambda s: np.sign(np.sin(1e7 * s)) + 0j
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(QuadratureError, match="^no convergence after 10 bisections: the next level would hold"):
+                adaptive_gauss_legendre(f, 0.0, 1.0, 1e-12)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 50e6
 
 
 class TestCircleTrapezoid:
