@@ -39,6 +39,7 @@ from .construct import (
     antiderivative_cascade,
     denominator_poles,
     laurent_coefficients,
+    moment_circle,
     principal_parts,
     residue_correction,
     two_set_poly_fit,

@@ -23,7 +23,9 @@ samples under "samples".
 Moments on a circle use a doubling trapezoidal rule and the divergence
 experiment the adaptive Gauss-Legendre engine; a rule that does not
 converge, or meets a value that is not finite, raises QuadratureError,
-which exits with code 3.
+which exits with code 3.  The moments of a rational are taken on the
+circle that construct.moment_circle picks, which encloses the same poles;
+a pole on the given circle raises PoleOnBoundaryError, exit code 2.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import sys
 import numpy as np
 
 from .blowup import arg_cauchy_gaps, divergence_experiment
-from .construct import antiderivative_cascade, universality_pipeline, volterra_apply
+from .construct import antiderivative_cascade, moment_circle, universality_pipeline, volterra_apply
 from .domains import CirclePath, DiscDomain, DomainSpec, moment_test
 from .errors import NumericError, PadeLabError, PreconditionError
 from .pade import pade_construct
@@ -391,6 +393,9 @@ def cmd_moments(args, config) -> int:
     else:
         f = resolve_rational(args.f, config)
     cycle = resolve_cycle(args.cycle)
+    if isinstance(f, RationalFunction):
+        # the same moments on a circle far from every pole, where the rule converges fast
+        cycle = moment_circle(f, cycle)
     moments = moment_test(f, cycle, args.n)
     rows = [{"i": i, "moment": m, "abs": abs(m)} for i, m in enumerate(moments)]
     emit_report(rows, ["i", "moment", "abs"], args.format, args.out)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import CirclePath, path_integral
+from .domains import CirclePath, moment_integrand, path_integral
 from .errors import (
     DegeneratePadeError,
     FitFailureError,
@@ -601,6 +601,46 @@ def principal_parts(rational: RationalFunction, region) -> RationalFunction:
     return total
 
 
+def moment_circle(rational: RationalFunction, circle: CirclePath) -> CirclePath:
+    """A circle with the contour moments of ``circle``, at least a factor 2 from every pole where it can be.
+
+    Let r_in be the largest pole distance from the centre below the radius
+    r, and r_out the smallest above it.  Every circle about the same centre
+    with radius in (r_in, r_out) encloses the same poles, so by Cauchy's
+    theorem each moment of z^k times the rational is unchanged.  The
+    trapezoidal rule on it converges like rho^-N, with rho the ratio to the
+    nearest pole distance, so:
+
+    * when every pole distance is at least a factor 2 from r, the circle is
+      kept;
+    * otherwise r is clamped into [2 r_in, r_out / 2], or taken as
+      sqrt(r_in r_out) when that interval is empty.
+
+    The poles come from :func:`denominator_poles`; when it raises
+    RootFindingError the circle is kept.  A pole within POLE_MERGE_TOL of
+    the circle, where the moments are undefined, raises
+    PoleOnBoundaryError.
+    """
+    try:
+        poles = denominator_poles(rational)
+    except RootFindingError:
+        return circle
+    r = circle.radius
+    distances = []
+    for pole, _ in poles:
+        distance = abs(pole - circle.center)
+        if abs(distance - r) < POLE_MERGE_TOL * max(1.0, abs(pole)):
+            raise PoleOnBoundaryError(f"pole {pole} lies on the moment circle {circle}")
+        distances.append(distance)
+    r_in = max((d for d in distances if d < r), default=0.0)
+    r_out = min((d for d in distances if d > r), default=math.inf)
+    if 2.0 * r_in <= r and 2.0 * r <= r_out:
+        return circle
+    low, high = 2.0 * r_in, r_out / 2.0
+    radius = min(max(r, low), high) if low <= high else math.sqrt(r_in * r_out)
+    return CirclePath(circle.center, radius)
+
+
 def _pole_check_radius(pole: complex, all_poles: list[complex]) -> float:
     others = [abs(pole - p) for p in all_poles if abs(pole - p) > POLE_MERGE_TOL]
     return 0.45 * min(others) if others else 0.25
@@ -609,10 +649,10 @@ def _pole_check_radius(pole: complex, all_poles: list[complex]) -> float:
 def _verify_residues_vanish(rational: RationalFunction, poles: list[complex], n: int):
     scale = max(1.0, rational.numerator.coefficient_scale())
     for pole in poles:
-        radius = _pole_check_radius(pole, poles)
-        cycle = CirclePath(pole, radius)
-        for j in range(1, n + 1):
-            moment = path_integral(lambda z, a=pole, k=j: (z - a) ** (k - 1) * rational(z), cycle)
+        cycle = CirclePath(pole, _pole_check_radius(pole, poles))
+        # the moments (z - a)^(j-1) for j = 1..n from one node set, then the verdicts in j order
+        moments = path_integral(moment_integrand(rational, pole, n), cycle).tolist()
+        for j, moment in enumerate(moments, start=1):
             if abs(moment) / (2.0 * math.pi) > MOMENT_VERIFY_TOL * scale:
                 raise VerificationError(
                     f"moment {j - 1} at pole {pole} fails to vanish: {moment!r}"

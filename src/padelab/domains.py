@@ -15,7 +15,12 @@ A shape supplies only its geometry, including the waypoints of its path;
 :meth:`DomainSpec.bounded_path` is the one routine that builds the path
 and checks it against M and against the domain.  The corridor descends to
 ``c + CORRIDOR_MARGIN * (min phi - c)`` so the path stays strictly
-interior for sampled profiles.
+interior for sampled profiles.  The path's endpoints and the
+Gauss-Legendre nodes of its segments go through one array call of the
+membership test, with the arithmetic per point of a scalar test
+(``math.atan2`` point by point, since NumPy's ``arctan2`` may round
+differently), so the same paths are accepted and the same node is named
+when one leaves the domain.
 
 Path integrals run on NumPy arrays where the integrand allows it:
 
@@ -26,6 +31,19 @@ Path integrals run on NumPy arrays where the integrand allows it:
   successive estimates agree.  A rule that still disagrees at
   TRAPEZOID_MAX_NODES nodes, or meets a value that is not finite, raises
   QuadratureError.  So f must accept an ndarray of points on a circle.
+  Its values may carry a trailing component axis: :func:`moment_test`
+  takes all its moments from one node set, each component stopping at
+  the doubling where its own run would stop.
+  The rule converges like rho^-N, rho the ratio between the radius and
+  the distance of the nearest singularity from the centre (either way
+  round), so a pole within 3e-3 of a unit circle runs it to the node cap.
+  For a rational f, ``construct.moment_circle`` therefore moves the circle
+  first (the CLI's ``moments`` does).  The moments of a rational do not
+  change while the circle stays between the same two pole distances
+  r_in < r < r_out (Cauchy's theorem); when a pole distance is within a
+  factor 2 of r, r is clamped into [2 r_in, r_out / 2], or set to
+  sqrt(r_in r_out) when that interval is empty.  A pole within
+  POLE_MERGE_TOL of the circle raises PoleOnBoundaryError.
 * on a :class:`PolylinePath`, composite 16-node Gauss-Legendre with
   adaptive bisection, all segments in one run of the engine.  There f is
   called one node at a time, so a scalar-only function such as
@@ -129,7 +147,8 @@ class DomainSpec:
 
     A shape subclasses this and supplies its geometry:
 
-    * ``contains(z)``: membership of the open domain;
+    * ``_inside(z)``: membership of the open domain for a 1-D array of
+      points, which :meth:`contains` wraps;
     * ``diameter``;
     * ``path_budget``: the number M;
     * ``waypoints(a, b)``: the inner vertices of the path from a to b;
@@ -146,19 +165,30 @@ class DomainSpec:
         a Gauss-Legendre node of a segment does.
         """
         a, b = complex(a), complex(b)
-        for point in (a, b):
-            if not self.contains(point):
-                raise PathOutsideDomainError(f"endpoint {point} outside {self.noun}")
         path = PolylinePath([a, *self.waypoints(a, b), b])
+        segments = path.segments()
+        mid = np.array([(u + v) / 2.0 for u, v in segments])
+        rad = np.array([(v - u) / 2.0 for u, v in segments])
+        # the endpoints and every node in one test; an endpoint that is not
+        # finite lies outside, whatever its nodes compute to
+        with np.errstate(invalid="ignore", over="ignore"):
+            nodes = (mid[:, None] + rad[:, None] * _GL_NODES).reshape(-1)
+            inside = self.contains(np.concatenate([[a, b], nodes]))
+        for point, ok in zip((a, b), inside):
+            if not ok:
+                raise PathOutsideDomainError(f"endpoint {point} outside {self.noun}")
         budget = self.path_budget
         assert path.length <= budget + 1e-12
-        for u, v in path.segments():
-            mid, rad = (u + v) / 2.0, (v - u) / 2.0
-            for x in _GL_NODES:
-                z = mid + rad * x
-                if not self.contains(z):
-                    raise PathOutsideDomainError(f"constructed path leaves the domain at {z}")
+        outside = np.flatnonzero(~inside[2:])
+        if outside.size:
+            raise PathOutsideDomainError(f"constructed path leaves the domain at {complex(nodes[outside[0]])}")
         return path, budget
+
+    def contains(self, z):
+        """Membership of the open domain: a bool for a point, a bool array for an array of points."""
+        points = np.asarray(z, dtype=complex)
+        inside = self._inside(points.reshape(-1))
+        return bool(inside[0]) if points.ndim == 0 else inside.reshape(points.shape)
 
     @staticmethod
     def from_data(data: dict) -> "DomainSpec":
@@ -199,8 +229,9 @@ class DiscDomain(DomainSpec):
         self.center = complex(center)
         self.radius = float(radius)
 
-    def contains(self, z: complex) -> bool:
-        return abs(complex(z) - self.center) < self.radius
+    def _inside(self, z: np.ndarray) -> np.ndarray:
+        w = z - self.center
+        return np.hypot(w.real, w.imag) < self.radius
 
     @property
     def diameter(self) -> float:
@@ -241,18 +272,22 @@ class StarlikeDomain(DomainSpec):
         if not np.all(self.profile > 0):
             raise ValueError("radial profile must be strictly positive")
 
-    def radius_at(self, theta: float) -> float:
+    def radius_at(self, theta):
+        """The interpolated profile at the angle theta, a float or an array of finite angles."""
         n = len(self.profile)
-        x = (theta % (2.0 * math.pi)) / (2.0 * math.pi) * n
-        i = int(math.floor(x)) % n
-        frac = x - math.floor(x)
-        return float((1.0 - frac) * self.profile[i] + frac * self.profile[(i + 1) % n])
+        x = np.remainder(theta, 2.0 * math.pi) / (2.0 * math.pi) * n
+        below = np.floor(x)
+        i = below.astype(np.intp) % n
+        frac = x - below
+        return (1.0 - frac) * self.profile[i] + frac * self.profile[(i + 1) % n]
 
-    def contains(self, z: complex) -> bool:
-        w = complex(z) - self.center
-        if w == 0:
-            return True
-        return abs(w) < self.radius_at(math.atan2(w.imag, w.real))
+    def _inside(self, z: np.ndarray) -> np.ndarray:
+        # the centre has modulus 0, below every (positive) profile value
+        w = z - self.center
+        # math.atan2 point by point, since NumPy's arctan2 may round differently;
+        # a NaN angle, of a NaN point, reads as 0 and the NaN modulus compares False
+        theta = np.array([math.atan2(y, x) for x, y in zip(w.real.tolist(), w.imag.tolist())])
+        return np.hypot(w.real, w.imag) < self.radius_at(np.nan_to_num(theta))
 
     @property
     def diameter(self) -> float:
@@ -296,17 +331,17 @@ class CorridorDomain(DomainSpec):
             raise ValueError("floor must lie strictly below the profile")
         self.profile = samples
 
-    def height_at(self, x: float) -> float:
+    def height_at(self, x):
+        """The interpolated profile at x clamped to [0, 1] (NaN reads as 0); x a float or an array."""
         n = len(self.profile)
-        t = min(max(x, 0.0), 1.0) * (n - 1)
-        i = min(int(math.floor(t)), n - 2)
+        t = np.fmin(np.fmax(x, 0.0), 1.0) * (n - 1)
+        i = np.minimum(np.floor(t).astype(np.intp), n - 2)
         frac = t - i
-        return float((1.0 - frac) * self.profile[i] + frac * self.profile[i + 1])
+        return (1.0 - frac) * self.profile[i] + frac * self.profile[i + 1]
 
-    def contains(self, z: complex) -> bool:
-        z = complex(z)
+    def _inside(self, z: np.ndarray) -> np.ndarray:
         x, y = z.real, z.imag
-        return 0.0 < x < 1.0 and self.floor < y < self.height_at(x)
+        return (0.0 < x) & (x < 1.0) & (self.floor < y) & (y < self.height_at(x))
 
     @property
     def diameter(self) -> float:
@@ -340,14 +375,9 @@ def bounded_path(domain: DomainSpec, a: complex, b: complex) -> tuple[PolylinePa
 
 
 def _close(estimate, previous, tol):
-    """Elementwise part of the acceptance test; tol broadcasts against estimate."""
+    """The acceptance test of both rules, elementwise; tol broadcasts against estimate."""
     # relative floor: successive estimates cannot agree below roundoff scale
     return abs(estimate - previous) <= np.maximum(tol, 4e-15 * abs(estimate))
-
-
-def _agree(estimate, previous, tol: float) -> bool:
-    """The acceptance test of both rules, for every component."""
-    return bool(_close(estimate, previous, tol).all())
 
 
 def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -439,28 +469,40 @@ def _interleave(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return np.stack([first, second], axis=1).reshape(-1, *first.shape[1:])
 
 
-def _circle_integral(f, path: CirclePath) -> complex:
-    """Doubling trapezoidal rule for the integral of f around a circle."""
+def _circle_integral(f, path: CirclePath):
+    """Doubling trapezoidal rule for the integral of f around a circle.
 
-    def node_sum(theta: np.ndarray) -> complex:
-        # sum of f(z) dz/dtheta at the angles theta, in one call of f
+    f's values may carry trailing component axes; the result then has them
+    too.  Every doubling evaluates f once for all components, and a
+    component keeps the estimate of the doubling at which it alone would
+    have stopped.  Each component's node sum is reduced along its own
+    contiguous row, so its bits do not depend on the other components.
+    """
+
+    def node_sums(theta: np.ndarray) -> np.ndarray:
+        # sums of f(z) dz/dtheta at the angles theta, one per component, from one call of f
         w = path.radius * np.exp(1j * theta)
         with np.errstate(divide="ignore", invalid="ignore"):
-            values = f(path.center + w) * (1j * w)
+            values = np.asarray(f(path.center + w))
+            values = values * _per_piece(1j * w, values)
         if not np.isfinite(values).all():
             raise QuadratureError(f"integrand not finite at a node of {path}")
-        return np.sum(values)
+        rows = np.ascontiguousarray(values.reshape(theta.size, -1).T)
+        return rows.sum(axis=-1).reshape(values.shape[1:])
 
     n = TRAPEZOID_START
-    total = node_sum(2.0 * math.pi / n * np.arange(n))
+    total = node_sums(2.0 * math.pi / n * np.arange(n))
     estimate = 2.0 * math.pi / n * total
+    result, live = estimate, np.ones(estimate.shape, dtype=bool)
     while n < TRAPEZOID_MAX_NODES:
         # the n new nodes of the doubled rule are the midpoints of the old ones
-        total += node_sum(2.0 * math.pi / n * (np.arange(n) + 0.5))
+        total = total + node_sums(2.0 * math.pi / n * (np.arange(n) + 0.5))
         n *= 2
         previous, estimate = estimate, 2.0 * math.pi / n * total
-        if _agree(estimate, previous, QUAD_TOL):
-            return complex(estimate)
+        stops = live & _close(estimate, previous, QUAD_TOL)
+        result, live = np.where(stops, estimate, result), live & ~stops
+        if not live.any():
+            return complex(result) if result.ndim == 0 else result
     raise QuadratureError(f"no convergence after {n} nodes on {path}")
 
 
@@ -508,17 +550,40 @@ def starlike_antiderivative(f, z: complex) -> complex:
     return path_integral(f, PolylinePath([0.0, z]))
 
 
+def moment_integrand(f, centre: complex, n: int):
+    """The integrand z -> ((z - centre)^k f(z) for k = 0..n-1), on a trailing axis.
+
+    f is called once per array of nodes, so a circle rule takes all n
+    moments from one node set; each component is the product a separate
+    integrand ``(z - centre)**k * f(z)`` would give.
+    """
+
+    def powers(z):
+        d, values = z - centre, f(z)
+        return np.stack([d**k * values for k in range(n)], axis=-1)
+
+    return powers
+
+
 def moment_test(f, cycle, n: int) -> list[complex]:
     """Moments ``int z^i f(z) dz`` for i = 0..n-1 over a closed cycle.
 
     All moments below tolerance is the criterion for f to admit a
     single-valued antiderivative of order n near the cycle.  On a
-    :class:`CirclePath` f is called on arrays of points (the trapezoidal
-    rule of :func:`path_integral`); on a closed polyline, one point at a
-    time.
+    :class:`CirclePath` f is called on arrays of points, once per doubling
+    of the trapezoidal rule for all n moments (:func:`moment_integrand`);
+    on a closed polyline, one point at a time and once per moment.
+
+    The rule converges like rho^-N, where rho is the ratio of the circle's
+    radius to the nearest singular modulus, so a singularity close to the
+    circle costs up to TRAPEZOID_MAX_NODES nodes or raises QuadratureError.
+    For a rational f, ``construct.moment_circle`` first moves the circle
+    to the widest pole-free annulus (the CLI's ``moments`` does this).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if not cycle.is_closed:
         raise ValueError("moment test needs a closed cycle")
+    if isinstance(cycle, CirclePath):
+        return path_integral(moment_integrand(f, 0j, n), cycle).tolist()
     return [path_integral(lambda z, k=i: z**k * f(z), cycle) for i in range(n)]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from padelab import cli, construct
+from padelab import CirclePath, cli, construct, moment_test
 from padelab.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -88,7 +88,8 @@ class TestDispatch:
         assert [str(w.message) for w in caught] == []
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        # 1/z here is a plain function, not a rational, so its circle is not moved
+        assert err == "numeric failure: integrand not finite at a node of CirclePath(center=(-1+0j), radius=1.0)\n"
 
     def test_divergence_csv_contract(self, tmp_path):
         out = tmp_path / "div.csv"
@@ -183,6 +184,7 @@ class TestNoTraceback:
         ("moments --f one-over-z --cycle circle:0,0,-1", EXIT_PRECONDITION),
         ("cascade --domain disc:0,0,-1", EXIT_PRECONDITION),
         ("moments --f one-over-z --n 0", EXIT_PRECONDITION),
+        ("moments --f one-over-z-minus-2 --cycle circle:0,0,2", EXIT_PRECONDITION),
         ("pade --builtin exp --p -1 --q 1", EXIT_PRECONDITION),
         ("volterra --order -3", EXIT_PRECONDITION),
         ("pade --builtin exp --p -3 --q 1", EXIT_PRECONDITION),
@@ -415,10 +417,13 @@ class TestModuleEntryPoint:
 
 
 # Two near-circle cases of the benchmark's paths workload (rationals m0_5 of
-# seed 1 and m3_2 of seed 2): each has a pole within 3e-3 of its
-# circle, and the trapezoidal rule converges on its last doubling, exactly
-# at 16,384 nodes.  A rounding change in the circle rule can tip them over
-# the node cap.
+# seed 1 and m3_2 of seed 2): each has a pole within 3e-3 of its circle.
+# On the given circle the trapezoidal rule converges on its last doubling,
+# exactly at 16,384 nodes, where a rounding change could tip it over the
+# node cap.  The CLI takes the moments on the circle construct.moment_circle
+# picks, a factor 1.43 (m0_5) or 2 (m3_2) from the nearest pole, where the
+# rule stops at 256 and 128 nodes.  The residue theorem is checked to the
+# workload's own bound.
 NEAR_CIRCLE_CASES = {
     "seed1_m0_5": (
         [[-0.2261198644838291, -0.021781104121212307], [1.4596690991292969, 0.8689066169665438]],
@@ -462,3 +467,77 @@ def test_near_circle_moments_at_the_node_cap(name, tmp_path, capsys):
         want = 2j * math.pi * sum(r * a**i for r, a in inside)
         scale = sum(abs(residues)) * max(1.0, abs(centre) + radius) ** i * (1.0 + radius / dist)
         assert abs(complex(row.split(",")[1]) - want) <= 1e-9 * scale
+
+
+def rational_config(tmp_path, residues, poles):
+    """A config file holding sum r_j / (z - a_j) as the rational "r"."""
+    den = np.polynomial.polynomial.polyfromroots(poles)
+    num = np.zeros(len(poles), dtype=complex)
+    for j, r in enumerate(residues):
+        num += r * np.polynomial.polynomial.polyfromroots(np.delete(poles, j))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"rationals": {"r": {
+        "numerator": {"center": [0.0, 0.0], "coefficients": [[c.real, c.imag] for c in num]},
+        "denominator": {"center": [0.0, 0.0], "coefficients": [[c.real, c.imag] for c in den]},
+    }}}))
+    return config
+
+
+def cli_moments(config, circle, n, capsys):
+    assert run(["--config", str(config), "moments", "--f", "config:r",
+                "--cycle", f"circle:{circle.center.real!r},{circle.center.imag!r},{circle.radius!r}",
+                "--n", str(n)]) == EXIT_OK
+    return [complex(row.split(",")[1]) for row in capsys.readouterr().out.strip().split("\n")[1:]]
+
+
+class TestMomentsOnAMovedCircle:
+    def test_random_rationals_match_the_residue_theorem(self, tmp_path, capsys):
+        # 2 to 4 poles: one inside, the others inside, outside or within 3e-3
+        # of the circle.  The CLI's moments, on the moved circle, and
+        # moment_test's on the given one where no pole is that close
+        rng = np.random.default_rng(19)
+        near = 0
+        for trial in range(30):
+            k = 2 + trial % 3
+            circle = CirclePath(complex(*rng.uniform(-0.5, 0.5, 2)), rng.uniform(0.5, 1.5))
+            kinds = rng.integers(0, 3, k - 1)
+            ratios = [rng.uniform(0.0, 0.7)] + [
+                rng.uniform(0.0, 0.7) if kind == 0 else rng.uniform(1.4, 2.5) if kind == 1
+                else 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, math.log10(3e-3))
+                for kind in kinds]
+            poles = circle.center + np.array(ratios) * circle.radius * np.exp(1j * rng.uniform(0.0, 2 * math.pi, k))
+            residues = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            config = rational_config(tmp_path, residues, poles)
+            got = cli_moments(config, circle, 3, capsys)
+            on_given = None
+            if 2 in kinds:
+                near += 1
+            else:
+                on_given = moment_test(cli.resolve_rational("config:r", cli.load_config(str(config))), circle, 3)
+            inside = [(r, a) for r, a in zip(residues, poles) if abs(a - circle.center) < circle.radius]
+            for i in range(3):
+                want = 2j * math.pi * sum(r * a**i for r, a in inside)
+                scale = sum(abs(r) * max(1.0, abs(a)) ** i for r, a in zip(residues, poles))
+                assert abs(got[i] - want) <= 1e-12 * scale
+                if on_given is not None:
+                    assert abs(on_given[i] - want) <= 1e-12 * scale
+        assert 5 < near < 25
+
+    def test_circle_far_from_every_pole_is_not_moved(self, tmp_path, capsys):
+        # every pole at least a factor 2 from the radius: the output is the
+        # moment test's on the given circle, bit for bit
+        circle = CirclePath(0.1 - 0.3j, 0.9)
+        poles = np.array([0.1 - 0.3j + 0.4, 0.1 - 0.3j - 2.0j, 0.5 + 2.0j])
+        config = rational_config(tmp_path, np.array([1.0 - 0.5j, 0.3j, 2.0]), poles)
+        f = cli.resolve_rational("config:r", cli.load_config(str(config)))
+        assert construct.moment_circle(f, circle) is circle
+        got = cli_moments(config, circle, 3, capsys)
+        assert np.array(got).tobytes() == np.array(moment_test(f, circle, 3)).tobytes()
+
+    def test_pole_on_the_circle_is_a_precondition_error(self, tmp_path, capsys):
+        config = rational_config(tmp_path, np.array([1.0, 2.0]), np.array([0.3 + 0.4j, 0.1]))
+        assert run(["--config", str(config), "moments", "--f", "config:r", "--cycle", "circle:0,0,0.5"]) \
+            == EXIT_PRECONDITION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("precondition error: pole (0.3") and "lies on the moment circle" in err

@@ -11,22 +11,28 @@ from padelab import (
     CorridorDomain,
     DiscDomain,
     DomainSpec,
+    Polynomial,
     PolylinePath,
+    RationalFunction,
     StarlikeDomain,
     antiderivative_at,
     bounded_path,
+    construct,
+    moment_circle,
     moment_test,
     path_integral,
     starlike_antiderivative,
 )
 from padelab.domains import (
+    _GL_NODES,
     MAX_BISECTIONS,
+    PROFILE_SAMPLES,
     QUAD_TOL,
-    _agree,
+    _close,
     _panel_estimates,
     adaptive_gauss_legendre,
 )
-from padelab.errors import PathOutsideDomainError, QuadratureError
+from padelab.errors import PathOutsideDomainError, PoleOnBoundaryError, QuadratureError, RootFindingError
 
 from conftest import complex_normal
 
@@ -83,6 +89,105 @@ class TestBoundedPath:
         disc = DiscDomain(0.0, 1.0)
         with pytest.raises(PathOutsideDomainError):
             bounded_path(disc, 0.0, 3.0)
+
+
+def scalar_contains(dom, z) -> bool:
+    """The point-by-point membership test that the array test replaced."""
+    z = complex(z)
+    if isinstance(dom, DiscDomain):
+        return abs(z - dom.center) < dom.radius
+    n = len(dom.profile)
+    if isinstance(dom, CorridorDomain):
+        x, y = z.real, z.imag
+        if not (0.0 < x < 1.0 and dom.floor < y):
+            return False
+        t = min(max(x, 0.0), 1.0) * (n - 1)
+        i = min(int(math.floor(t)), n - 2)
+        frac = t - i
+        return y < float((1.0 - frac) * dom.profile[i] + frac * dom.profile[i + 1])
+    w = z - dom.center
+    if w == 0:
+        return True
+    if cmath.isnan(w):
+        return False  # the scalar test raised ValueError here; the array test reads outside
+    x = (math.atan2(w.imag, w.real) % (2.0 * math.pi)) / (2.0 * math.pi) * n
+    i = int(math.floor(x)) % n
+    frac = x - math.floor(x)
+    return abs(w) < float((1.0 - frac) * dom.profile[i] + frac * dom.profile[(i + 1) % n])
+
+
+def scalar_path_error(dom, a, b):
+    """The message of the node-by-node check that the array check replaced, or None."""
+    for point in (a, b):
+        if not scalar_contains(dom, point):
+            return f"endpoint {point} outside {dom.noun}"
+    for u, v in PolylinePath([a, *dom.waypoints(a, b), b]).segments():
+        mid, rad = (u + v) / 2.0, (v - u) / 2.0
+        for x in _GL_NODES:
+            z = mid + rad * x
+            if not scalar_contains(dom, z):
+                return f"constructed path leaves the domain at {z}"
+    return None
+
+
+class RaisedCorridor(CorridorDomain):
+    """A corridor above the profile's low points, so that joining paths leave the domain."""
+
+    corridor_height = 0.9
+
+
+THETA = 2.0 * np.pi * np.arange(PROFILE_SAMPLES) / PROFILE_SAMPLES
+ARRAY_TEST_DOMAINS = [
+    RaisedCorridor(1.0 + 0.5 * np.sin(9.0 * np.linspace(0.0, 1.0, PROFILE_SAMPLES)), 0.2),
+    CorridorDomain(wiggly_profile, 0.0),
+    CorridorDomain(1.0 + 0.5 * np.sin(150.0 * np.linspace(0.0, 1.0, PROFILE_SAMPLES)), 0.2),
+    StarlikeDomain(0.1j, 1.0 + 0.3 * np.cos(7.0 * THETA)),
+    DiscDomain(0.2 - 0.1j, 0.9),
+]
+ARRAY_TEST_IDS = ["raised_corridor", "wiggly_corridor", "corridor", "starlike", "disc"]
+
+
+class TestArrayContainment:
+    @pytest.mark.parametrize("dom", ARRAY_TEST_DOMAINS, ids=ARRAY_TEST_IDS)
+    def test_points_on_and_next_to_the_boundary(self, dom, rng):
+        # boundary points from the scalar formulas, and their neighbours one
+        # ulp inside and outside: the array test must decide each the same way
+        u = rng.uniform(0.0, 1.0, 300)
+        centre = getattr(dom, "center", 0.5 + 0.5j)
+        if isinstance(dom, CorridorDomain):
+            heights = [dom.height_at(float(x)) for x in u]
+            edge = [complex(x, h) for x, h in zip(u, heights)]
+        else:
+            rho = (dom.profile if isinstance(dom, StarlikeDomain) else np.full(PROFILE_SAMPLES, dom.radius))
+            angles = 2.0 * math.pi * u
+            edge = [centre + cmath.rect(float(np.interp(t, THETA, rho)), t) for t in angles]
+        points = []
+        for z in edge:
+            for scale in (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)):
+                points += [complex(z.real, z.imag * scale), centre + (z - centre) * scale]
+        points += [complex(math.nan, 0.5), complex(math.inf, 0.1), centre]
+        verdicts = dom.contains(np.array(points))
+        assert verdicts.dtype == bool and verdicts.shape == (len(points),)
+        assert verdicts.tolist() == [scalar_contains(dom, z) for z in points]
+        assert 0 < verdicts.sum() < len(points)
+        assert type(dom.contains(points[0])) is bool
+
+    @pytest.mark.parametrize("dom", ARRAY_TEST_DOMAINS, ids=ARRAY_TEST_IDS)
+    def test_path_check_raises_like_the_node_by_node_check(self, dom, rng):
+        raised = {"endpoint": 0, "constructed": 0, None: 0}
+        for _ in range(200):
+            a, b = (complex(rng.uniform(-0.3, 1.3), rng.uniform(-0.4, 1.6)) for _ in range(2))
+            want = scalar_path_error(dom, a, b)
+            try:
+                dom.bounded_path(a, b)
+                got = None
+            except PathOutsideDomainError as exc:
+                got = str(exc)
+            assert got == want
+            raised[want.split()[0] if want else None] += 1
+        assert raised["endpoint"] > 0 and raised[None] > 0, raised
+        if isinstance(dom, RaisedCorridor):
+            assert raised["constructed"] > 0, raised
 
 
 class TestPathIntegral:
@@ -157,7 +262,7 @@ class TestIntervalEngine:
         def bisect(lo, hi, tol, whole, depth):
             mid = (lo + hi) / 2.0
             left, right = panel(lo, mid), panel(mid, hi)
-            if _agree(left + right, whole, tol):
+            if _close(left + right, whole, tol).all():
                 return left + right
             assert depth < MAX_BISECTIONS
             return bisect(lo, mid, tol / 2.0, left, depth + 1) + bisect(mid, hi, tol / 2.0, right, depth + 1)
@@ -278,6 +383,149 @@ class TestMomentTest:
     def test_open_path_rejected(self):
         with pytest.raises(ValueError):
             moment_test(np.exp, PolylinePath([0.0, 1.0]), 1)
+
+
+
+def rational_from_poles(residues, poles, double=None):
+    """sum r_j / (z - a_j), plus c / (z - a)^2 when double = (c, a), as one rational."""
+    terms = [(r, a, 1) for r, a in zip(residues, poles)] + ([(double[0], double[1], 2)] if double else [])
+    den = np.polynomial.Polynomial([1.0 + 0j])
+    for _, a, m in terms:
+        den = den * np.polynomial.Polynomial([-a, 1.0]) ** m
+    num = np.polynomial.Polynomial([0j])
+    for c, a, m in terms:
+        num = num + c * (den // np.polynomial.Polynomial([-a, 1.0]) ** m)
+    return RationalFunction(Polynomial(num.coef), Polynomial(den.coef))
+
+
+def residue_moments(residues, poles, circle, n, double=None):
+    """int z^i f dz for i < n by the residue theorem, and a scale for each."""
+    terms = [(r, a, 1) for r, a in zip(residues, poles)] + ([(double[0], double[1], 2)] if double else [])
+    inside = [(c, a, m) for c, a, m in terms if abs(a - circle.center) < circle.radius]
+    # the residue of z^i c / (z - a)^m is c a^i for m = 1 and c i a^(i-1) for m = 2
+    want = [2j * math.pi * sum(c * (a**i if m == 1 else i * a ** (i - 1) if i else 0) for c, a, m in inside)
+            for i in range(n)]
+    scale = [sum(abs(c) * max(1.0, abs(a)) ** i for c, a, _ in terms) for i in range(n)]
+    return want, scale
+
+
+class CountedRational:
+    """A rational that counts the nodes it is evaluated at."""
+
+    def __init__(self, rational):
+        self.rational, self.nodes = rational, 0
+
+    def __call__(self, z):
+        self.nodes += np.size(z)
+        return self.rational(z)
+
+
+class TestMomentCircle:
+    def test_random_rationals_keep_their_moments(self, rng):
+        # 2 to 4 simple poles, none within a factor 1.4 of the circle, at
+        # least one inside: the given circle converges, and most are moved
+        moved = 0
+        for trial in range(40):
+            k = 2 + trial % 3
+            circle = CirclePath(complex(*rng.uniform(-0.5, 0.5, 2)), rng.uniform(0.5, 1.5))
+            moduli = np.where(np.arange(k) == 0, rng.uniform(0.0, 0.7, k),
+                              rng.choice([-1.0, 1.0], k) * rng.uniform(0.0, 0.7, k))
+            moduli = np.where(moduli < 0, 1.4 - moduli * 1.6, np.abs(moduli)) * circle.radius
+            poles = circle.center + moduli * np.exp(1j * rng.uniform(0.0, 2 * math.pi, k))
+            residues = complex_normal(rng, k)
+            f = rational_from_poles(residues, poles)
+            target = moment_circle(f, circle)
+            moved += target is not circle
+            want, scale = residue_moments(residues, poles, circle, 3)
+            for cycle in (circle, target):
+                for got, w, sc in zip(moment_test(f, cycle, 3), want, scale):
+                    assert abs(got - w) <= 1e-12 * sc
+        assert moved > 10
+
+    @pytest.mark.parametrize("gap", [1e-5, 1e-4, 3e-3])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_near_circle_pole_within_256_nodes(self, gap, side, order):
+        # a simple or double pole at relative gap from the circle, and a
+        # simple pole well inside; on the given circle the rule would need
+        # more than 16,384 nodes (TestCircleTrapezoid)
+        circle = CirclePath(0.1 - 0.2j, 0.8)
+        near = circle.center + circle.radius * (1.0 + side * gap) * cmath.exp(0.5j)
+        inner = circle.center + 0.3 * circle.radius * cmath.exp(2.0j)
+        if order == 1:
+            residues, poles, double = [0.7 - 0.2j, -0.4 + 0.9j], [near, inner], None
+        else:
+            residues, poles, double = [-0.4 + 0.9j], [inner], (0.7 - 0.2j, near)
+        f = CountedRational(rational_from_poles(residues, poles, double))
+        target = moment_circle(f.rational, circle)
+        assert target.center == circle.center and target.radius != circle.radius
+        moments = moment_test(f, target, 3)
+        assert f.nodes <= 256
+        want, scale = residue_moments(residues, poles, circle, 3, double)
+        for got, w, sc in zip(moments, want, scale):
+            assert abs(got - w) <= 1e-12 * sc
+
+    def test_radius_rule(self):
+        circle = CirclePath(1.0, 1.0)
+        f = rational_from_poles([1.0, 1.0], [1.0 + 0.6, 1.0 + 1.05j])
+        # r_in = 0.6 and r_out = 1.05: [1.2, 0.525] is empty, so sqrt(0.6 * 1.05)
+        assert moment_circle(f, circle).radius == pytest.approx(math.sqrt(0.6 * 1.05), rel=1e-14)
+        # r_in = 0.3 clamps r = 0.5 up to 2 r_in = 0.6; r_out = 1.05 clamps r = 1 down to r_out / 2
+        assert moment_circle(rational_from_poles([1.0], [1.3]), CirclePath(1.0, 0.5)).radius == pytest.approx(0.6)
+        assert moment_circle(rational_from_poles([1.0], [2.05]), circle).radius == pytest.approx(0.525)
+        # every pole a factor 2 away or more: the same circle
+        for f in (rational_from_poles([1.0, 2.0], [1.4, 3.2]), RationalFunction(Polynomial([1.0]), Polynomial([1.0]))):
+            assert moment_circle(f, circle) is circle
+
+    def test_pole_on_the_circle_raises(self):
+        f = rational_from_poles([1.0, 1.0], [2.0, 0.1])
+        for radius in (2.0, 2.0 * (1.0 + 1e-9)):
+            with pytest.raises(PoleOnBoundaryError, match="lies on the moment circle"):
+                moment_circle(f, CirclePath(0.0, radius))
+
+    def test_root_finding_failure_keeps_the_circle(self, monkeypatch):
+        def fail(rational):
+            raise RootFindingError("no poles")
+
+        monkeypatch.setattr(construct, "denominator_poles", fail)
+        circle = CirclePath(0.0, 1.0)
+        assert moment_circle(rational_from_poles([1.0], [1.01]), circle) is circle
+
+
+class TestJointCircleRule:
+    def test_components_stop_where_their_own_runs_stop(self):
+        # poles at ratios 1.1, 2 and 8 from the circle: the components converge
+        # at different doublings, and each keeps the bits of its own run
+        circle = CirclePath(0.2, 1.0)
+        poles = [0.2 + 1.1j, 2.2, 0.2 - 8.0]
+        calls = []
+
+        def joint(z):
+            calls.append(z.size)
+            return np.stack([1.0 / (z - a) for a in poles], axis=-1)
+
+        values = path_integral(joint, circle)
+        assert values.shape == (3,)
+        for a, value in zip(poles, values):
+            alone = path_integral(lambda z: 1.0 / (z - a), circle)
+            assert np.complex128(alone).tobytes() == value.tobytes()
+        # one call per doubling, up to the slowest component's
+        assert calls == [64, 64, 128, 256, 512]
+
+    def test_moments_bit_for_bit_from_one_node_set(self):
+        f = rational_from_poles([0.3 + 1j, -2.0], [0.4j, 1.3])
+        circle = CirclePath(0.1, 1.0)
+        counted = CountedRational(f)
+        joint = moment_test(counted, circle, 4)
+        alone = [path_integral(lambda z, k=k: z**k * f(z), circle) for k in range(4)]
+        assert np.array(joint).tobytes() == np.array(alone).tobytes()
+        assert all(type(m) is complex for m in joint)
+        assert counted.nodes <= 2048
+
+    def test_unconverged_component_raises(self):
+        pole = 0.1 + 0.8 * (1.0 + 1e-4) * cmath.exp(0.5j)
+        with pytest.raises(QuadratureError, match="^no convergence after 16384 nodes"):
+            path_integral(lambda z: np.stack([z, 1.0 / (z - pole)], axis=-1), CirclePath(0.1, 0.8))
 
 
 class TestDomainSerialization:
