@@ -24,8 +24,9 @@ Moments on a circle use a doubling trapezoidal rule and the divergence
 experiment the adaptive Gauss-Legendre engine; a rule that does not
 converge, or meets a value that is not finite, raises QuadratureError,
 which exits with code 3.  The moments of a rational are taken on the
-circle that construct.moment_circle picks, which encloses the same poles;
-a pole on the given circle raises PoleOnBoundaryError, exit code 2.
+circle that construct.moment_circle picks for --n moments, which encloses
+the same roots of the denominator; a pole on the given circle raises
+PoleOnBoundaryError, exit code 2.
 """
 
 from __future__ import annotations
@@ -395,7 +396,7 @@ def cmd_moments(args, config) -> int:
     cycle = resolve_cycle(args.cycle)
     if isinstance(f, RationalFunction):
         # the same moments on a circle far from every pole, where the rule converges fast
-        cycle = moment_circle(f, cycle)
+        cycle = moment_circle(f, cycle, args.n)
     moments = moment_test(f, cycle, args.n)
     rows = [{"i": i, "moment": m, "abs": abs(m)} for i, m in enumerate(moments)]
     emit_report(rows, ["i", "moment", "abs"], args.format, args.out)

@@ -30,6 +30,7 @@ This module turns existence arguments into checkable computations:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,9 @@ from .sphere import chordal_array
 POLE_MERGE_TOL = 1e-8
 # Residual of contour-moment verification, relative to coefficient scale.
 MOMENT_VERIFY_TOL = 1e-9
+# Largest factor by which moment_circle may raise the scale of a moment's node
+# sum: the rule's absolute tolerance QUAD_TOL leaves about 1e4 over roundoff.
+MOMENT_SCALE_GROWTH = 4.0
 
 
 # --- two-set polynomial fitting ------------------------------------------------
@@ -601,8 +605,42 @@ def principal_parts(rational: RationalFunction, region) -> RationalFunction:
     return total
 
 
-def moment_circle(rational: RationalFunction, circle: CirclePath) -> CirclePath:
-    """A circle with the contour moments of ``circle``, at least a factor 2 from every pole where it can be.
+def _root_disc_radius(den: Polynomial, pole: complex, mult: int) -> float:
+    """A radius about a computed pole within which lie exactly ``mult`` roots of ``den``.
+
+    Pellet's theorem: with den = sum_k beta_k (z - pole)^k, whenever
+    |beta_m| rho^m > sum_{k != m} |beta_k| rho^k exactly m roots lie in
+    |z - pole| < rho.  Each |beta_k| is widened by a bound on the rounding
+    of the shift, which sums binomial(j, k) |b_j| |shift|^(j-k) over the
+    coefficients b_j of den.  Radii are tried from the low-order estimate
+    up in factors of 2; inf when none up to max(1, |pole|) qualifies.  A
+    multiple pole that the tolerant gcd merged from a cluster of simple
+    roots gets about the cluster's radius, a true multiple or well
+    separated simple pole a radius near roundoff.
+    """
+    beta = den.recentered(pole).coefficients.tolist()
+    coefficients = den.coefficients.tolist()
+    if len(beta) != len(coefficients):
+        return math.inf
+    reach = 2.0 * max(1.0, abs(pole - den.center))  # binomial(j, k) |shift|^(j-k) <= reach^j
+    slack = 4.0 * len(beta) * sys.float_info.epsilon * sum(abs(b) * reach**j for j, b in enumerate(coefficients))
+    upper = [abs(b) + slack for b in beta]
+    head = upper[mult] - 2.0 * slack
+    upper[mult] = 0.0
+    if head <= 0.0:
+        return math.inf
+    limit = max(1.0, abs(pole))
+    rho = max(2.0 * max((upper[k] / head) ** (1.0 / (mult - k)) for k in range(mult)),
+              sys.float_info.epsilon * limit)
+    while rho <= limit:
+        if head * rho**mult > sum(u * rho**k for k, u in enumerate(upper)):
+            return rho
+        rho *= 2.0
+    return math.inf
+
+
+def moment_circle(rational: RationalFunction, circle: CirclePath, n: int) -> CirclePath:
+    """A circle with the first n contour moments of ``circle``, at least a factor 2 from every pole where it can be.
 
     Let r_in be the largest pole distance from the centre below the radius
     r, and r_out the smallest above it.  Every circle about the same centre
@@ -614,30 +652,49 @@ def moment_circle(rational: RationalFunction, circle: CirclePath) -> CirclePath:
     * when every pole distance is at least a factor 2 from r, the circle is
       kept;
     * otherwise r is clamped into [2 r_in, r_out / 2], or taken as
-      sqrt(r_in r_out) when that interval is empty.
+      sqrt(r_in r_out) when that interval is empty;
+    * a larger radius R is capped where max(1, |c| + R)^(n-1), the scale of
+      the largest moment's node sum and so of its rounding, reaches
+      MOMENT_SCALE_GROWTH times its value on the given circle.
 
     The poles come from :func:`denominator_poles`; when it raises
-    RootFindingError the circle is kept.  A pole within POLE_MERGE_TOL of
-    the circle, where the moments are undefined, raises
-    PoleOnBoundaryError.
+    RootFindingError the circle is kept.  Where a circle may move, each
+    pole's roots are located by :func:`_root_disc_radius`, and the circle
+    is kept unless those discs are disjoint and none meets the radii
+    between r and the new one: a multiple pole merged from a cluster of
+    roots may stand for roots on both sides of a radius.  A pole located to
+    within POLE_MERGE_TOL and lying within POLE_MERGE_TOL of the circle,
+    where the moments are undefined, raises PoleOnBoundaryError.
     """
     try:
         poles = denominator_poles(rational)
     except RootFindingError:
         return circle
     r = circle.radius
-    distances = []
-    for pole, _ in poles:
-        distance = abs(pole - circle.center)
-        if abs(distance - r) < POLE_MERGE_TOL * max(1.0, abs(pole)):
-            raise PoleOnBoundaryError(f"pole {pole} lies on the moment circle {circle}")
-        distances.append(distance)
+    distances = [abs(pole - circle.center) for pole, _ in poles]
+    on_circle = [abs(d - r) < POLE_MERGE_TOL * max(1.0, abs(pole)) for (pole, _), d in zip(poles, distances)]
     r_in = max((d for d in distances if d < r), default=0.0)
     r_out = min((d for d in distances if d > r), default=math.inf)
-    if 2.0 * r_in <= r and 2.0 * r <= r_out:
+    if not any(on_circle) and 2.0 * r_in <= r and 2.0 * r <= r_out:
+        return circle
+    den = rational.denominator
+    spreads = [_root_disc_radius(den, pole, mult) for pole, mult in poles]
+    for (pole, _), spread, on in zip(poles, spreads, on_circle):
+        if on and spread < POLE_MERGE_TOL * max(1.0, abs(pole)):
+            raise PoleOnBoundaryError(f"pole {pole} lies on the moment circle {circle}")
+    if any(on_circle):
         return circle
     low, high = 2.0 * r_in, r_out / 2.0
     radius = min(max(r, low), high) if low <= high else math.sqrt(r_in * r_out)
+    if radius > r and n > 1:
+        offset = abs(circle.center)
+        radius = min(radius, max(1.0, offset + r) * MOMENT_SCALE_GROWTH ** (1.0 / (n - 1)) - offset)
+    lo, hi = min(r, radius), max(r, radius)
+    if any(d - s <= hi and d + s >= lo for d, s in zip(distances, spreads)):
+        return circle
+    discs = [(pole, s) for (pole, _), s in zip(poles, spreads)]
+    if any(abs(a - b) <= sa + sb for i, (a, sa) in enumerate(discs) for b, sb in discs[i + 1:]):
+        return circle
     return CirclePath(circle.center, radius)
 
 

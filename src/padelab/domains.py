@@ -42,8 +42,15 @@ Path integrals run on NumPy arrays where the integrand allows it:
   change while the circle stays between the same two pole distances
   r_in < r < r_out (Cauchy's theorem); when a pole distance is within a
   factor 2 of r, r is clamped into [2 r_in, r_out / 2], or set to
-  sqrt(r_in r_out) when that interval is empty.  A pole within
-  POLE_MERGE_TOL of the circle raises PoleOnBoundaryError.
+  sqrt(r_in r_out) when that interval is empty.  A larger radius is
+  capped so that max(1, |z|)^(n-1) on it, the scale of the last of n
+  moments and of its rounding, grows by at most MOMENT_SCALE_GROWTH.  The
+  circle stays as given unless discs about the poles that hold all the
+  denominator's roots (Pellet's theorem) are disjoint and none lies
+  between the two radii, since a multiple pole that the pole finder
+  merged from a cluster of roots may stand for roots on both sides.  A
+  pole located to within POLE_MERGE_TOL and lying within POLE_MERGE_TOL
+  of the circle raises PoleOnBoundaryError.
 * on a :class:`PolylinePath`, composite 16-node Gauss-Legendre with
   adaptive bisection, all segments in one run of the engine.  There f is
   called one node at a time, so a scalar-only function such as
@@ -578,7 +585,9 @@ def moment_test(f, cycle, n: int) -> list[complex]:
     radius to the nearest singular modulus, so a singularity close to the
     circle costs up to TRAPEZOID_MAX_NODES nodes or raises QuadratureError.
     For a rational f, ``construct.moment_circle`` first moves the circle
-    to the widest pole-free annulus (the CLI's ``moments`` does this).
+    within the pole-free annulus about it, as far as the n moments'
+    rounding allows, unless a pole may stand for roots on both sides (the
+    CLI's ``moments`` does this).
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -530,9 +530,30 @@ class TestMomentsOnAMovedCircle:
         poles = np.array([0.1 - 0.3j + 0.4, 0.1 - 0.3j - 2.0j, 0.5 + 2.0j])
         config = rational_config(tmp_path, np.array([1.0 - 0.5j, 0.3j, 2.0]), poles)
         f = cli.resolve_rational("config:r", cli.load_config(str(config)))
-        assert construct.moment_circle(f, circle) is circle
+        assert construct.moment_circle(f, circle, 3) is circle
         got = cli_moments(config, circle, 3, capsys)
         assert np.array(got).tobytes() == np.array(moment_test(f, circle, 3)).tobytes()
+
+    def test_merged_pair_across_the_circle_fails_loudly(self, tmp_path, capsys):
+        # 1/((z - a)(z - a - 1e-5)) with the circle between the two poles: the
+        # pole finder merges them into one double pole outside the circle, so
+        # a moved circle would drop the inner one and print moments of 0
+        a = 1.0 - 4e-6
+        config = rational_config(tmp_path, np.array([-1e5, 1e5]), np.array([a, a + 1e-5]))
+        assert run(["--config", str(config), "moments", "--f", "config:r", "--cycle", "circle:0,0,1"]) \
+            == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric failure: no convergence after 16384 nodes")
+
+    @pytest.mark.parametrize("inner", [0.6, 0.95])
+    def test_many_moments_on_a_grown_circle(self, inner, tmp_path, capsys):
+        # 60 moments of 1/(z - inner): the circle grows only as far as the
+        # node sums' rounding allows, and every moment is inner^i 2 pi i
+        config = rational_config(tmp_path, np.array([1.0]), np.array([inner]))
+        got = cli_moments(config, CirclePath(0.0, 1.0), 60, capsys)
+        for i, moment in enumerate(got):
+            assert abs(moment - 2j * math.pi * inner**i) <= 1e-12
 
     def test_pole_on_the_circle_is_a_precondition_error(self, tmp_path, capsys):
         config = rational_config(tmp_path, np.array([1.0, 2.0]), np.array([0.3 + 0.4j, 0.1]))

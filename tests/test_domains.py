@@ -434,7 +434,7 @@ class TestMomentCircle:
             poles = circle.center + moduli * np.exp(1j * rng.uniform(0.0, 2 * math.pi, k))
             residues = complex_normal(rng, k)
             f = rational_from_poles(residues, poles)
-            target = moment_circle(f, circle)
+            target = moment_circle(f, circle, 3)
             moved += target is not circle
             want, scale = residue_moments(residues, poles, circle, 3)
             for cycle in (circle, target):
@@ -457,7 +457,7 @@ class TestMomentCircle:
         else:
             residues, poles, double = [-0.4 + 0.9j], [inner], (0.7 - 0.2j, near)
         f = CountedRational(rational_from_poles(residues, poles, double))
-        target = moment_circle(f.rational, circle)
+        target = moment_circle(f.rational, circle, 3)
         assert target.center == circle.center and target.radius != circle.radius
         moments = moment_test(f, target, 3)
         assert f.nodes <= 256
@@ -469,19 +469,121 @@ class TestMomentCircle:
         circle = CirclePath(1.0, 1.0)
         f = rational_from_poles([1.0, 1.0], [1.0 + 0.6, 1.0 + 1.05j])
         # r_in = 0.6 and r_out = 1.05: [1.2, 0.525] is empty, so sqrt(0.6 * 1.05)
-        assert moment_circle(f, circle).radius == pytest.approx(math.sqrt(0.6 * 1.05), rel=1e-14)
+        assert moment_circle(f, circle, 3).radius == pytest.approx(math.sqrt(0.6 * 1.05), rel=1e-14)
         # r_in = 0.3 clamps r = 0.5 up to 2 r_in = 0.6; r_out = 1.05 clamps r = 1 down to r_out / 2
-        assert moment_circle(rational_from_poles([1.0], [1.3]), CirclePath(1.0, 0.5)).radius == pytest.approx(0.6)
-        assert moment_circle(rational_from_poles([1.0], [2.05]), circle).radius == pytest.approx(0.525)
+        assert moment_circle(rational_from_poles([1.0], [1.3]), CirclePath(1.0, 0.5), 3).radius == pytest.approx(0.6)
+        assert moment_circle(rational_from_poles([1.0], [2.05]), circle, 3).radius == pytest.approx(0.525)
         # every pole a factor 2 away or more: the same circle
         for f in (rational_from_poles([1.0, 2.0], [1.4, 3.2]), RationalFunction(Polynomial([1.0]), Polynomial([1.0]))):
-            assert moment_circle(f, circle) is circle
+            assert moment_circle(f, circle, 3) is circle
 
     def test_pole_on_the_circle_raises(self):
         f = rational_from_poles([1.0, 1.0], [2.0, 0.1])
         for radius in (2.0, 2.0 * (1.0 + 1e-9)):
             with pytest.raises(PoleOnBoundaryError, match="lies on the moment circle"):
-                moment_circle(f, CirclePath(0.0, radius))
+                moment_circle(f, CirclePath(0.0, radius), 3)
+
+    @pytest.mark.parametrize("pair", [(1.0 - 4e-6, 1.0 + 6e-6), (1.0 - 5e-6, 1.0 + 5e-6), (1.0 - 2e-6, 1.0 + 8e-6)])
+    def test_merged_pair_across_the_circle_keeps_the_circle(self, pair):
+        # two simple poles 1e-5 apart on either side of the circle, which the
+        # tolerant gcd reports as one double pole near the circle: moving the
+        # circle past it would drop the inner pole, so the circle stays and
+        # the rule fails loudly instead of returning moments of 0
+        f = rational_from_poles([1.0, -1.0], list(pair))
+        (pole, mult), = construct.denominator_poles(f)
+        assert mult == 2 and abs(abs(pole) - 1.0) < 5e-6
+        circle = CirclePath(0.0, 1.0)
+        assert moment_circle(f, circle, 3) is circle
+        with pytest.raises(QuadratureError, match="no convergence"):
+            moment_test(f, circle, 3)
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_merged_pair_on_one_side_moves_the_circle(self, side):
+        # the same merged pair 3e-5 from the circle, with a simple pole well
+        # inside: both roots lie on one side, so the circle moves
+        mid = 1.0 + side * 3e-5
+        residues, poles = [1.0, -0.5, 0.3j], [mid - 5e-6, mid + 5e-6, 0.2j]
+        f = CountedRational(rational_from_poles(residues, poles))
+        assert sorted(m for _, m in construct.denominator_poles(f.rational)) == [1, 2]
+        circle = CirclePath(0.0, 1.0)
+        target = moment_circle(f.rational, circle, 3)
+        assert target is not circle
+        moments = moment_test(f, target, 3)
+        assert f.nodes <= 256
+        want, scale = residue_moments(residues, poles, circle, 3)
+        for got, w, sc in zip(moments, want, scale):
+            assert abs(got - w) <= 1e-9 * sc
+
+    def test_moved_circle_encloses_the_same_roots(self, rng):
+        # clusters of 1 to 4 roots spread 1e-7 to 1e-2, some merged into
+        # multiple poles, on circles through the cluster: a moved circle
+        # never separates roots the given one kept together
+        moved = 0
+        for trial in range(300):
+            m = 1 + trial % 4
+            centre = complex(*rng.uniform(-0.3, 0.3, 2))
+            p = centre + rng.choice([0.3, 1.0, 3.0]) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            spread = 10.0 ** rng.uniform(-7.0, -2.0)
+            roots = list(p + spread * complex_normal(rng, m)) + list(
+                centre + rng.uniform(0.2, 3.0, trial % 3) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, trial % 3)))
+            circle = CirclePath(centre, abs(p - centre) + spread * rng.uniform(-3.0, 3.0))
+            den = np.polynomial.polynomial.polyfromroots(roots)
+            f = RationalFunction(Polynomial([1.0]), Polynomial(den))
+            try:
+                target = moment_circle(f, circle, 1 + trial % 5)
+            except PoleOnBoundaryError:
+                continue
+            moved += target is not circle
+            for a in roots:
+                assert (abs(a - centre) < circle.radius) == (abs(a - centre) < target.radius)
+        assert moved > 50
+
+    # three-root clusters, spread about 5e-6, that the circle passes through:
+    # computed in floating point, the shifted coefficients alone would give
+    # discs too small to hold the cluster, and the circle would move past a root
+    ROUNDING_CASES = [
+        ([0.3625048990951182 - 0.9319823010190348j, 0.3624952350678903 - 0.931980103407492j,
+          0.36249816389408057 - 0.9319895715063456j],
+         0.2282334748340687 - 0.0021185700505367833j, 0.9395102347908437, 7),
+        ([-0.16980867759051613 - 0.9854756050693732j, -0.16981397550814695 - 0.9854744003164618j,
+          -0.16981236989595802 - 0.9854795908241729j],
+         -0.1431300630942589 + 0.04656960824618994j, 1.0323931751209363, 2),
+        ([2.814911243685138 - 1.0374370529159176j, 2.814912424556179 - 1.0374378089427905j,
+          2.8149084508237037 - 1.0374439574233478j, -0.49473309728230636 - 0.5595690930657169j,
+          -1.21113199557865 - 0.6950904422393404j],
+         0.1784616422372422 - 0.2994126657738843j, 2.7378078377634534, 2),
+    ]
+
+    @pytest.mark.parametrize("roots, centre, radius, n", ROUNDING_CASES)
+    def test_disc_radii_allow_for_rounding(self, roots, centre, radius, n):
+        den = np.array([1.0 + 0j])
+        for a in roots:
+            den = np.convolve(den, [-a, 1.0])
+        target = moment_circle(RationalFunction(Polynomial([1.0]), Polynomial(den)), CirclePath(centre, radius), n)
+        for a in roots:
+            assert (abs(a - centre) < radius) == (abs(a - centre) < target.radius)
+
+    def test_pole_list_that_names_a_root_twice_keeps_the_circle(self, monkeypatch):
+        # Pellet discs that overlap may share one root and miss another: here
+        # the list names the root at 0.6 twice and misses the one at 0.95,
+        # which a move from 0.9 to 2 r_in = 1.2 would cross
+        f = rational_from_poles([1.0, 1.0], [0.6, 0.95])
+        monkeypatch.setattr(construct, "denominator_poles", lambda rational: [(0.6, 1), (0.6 + 1e-12, 1)])
+        circle = CirclePath(0.0, 0.9)
+        assert moment_circle(f, circle, 1) is circle
+
+    @pytest.mark.parametrize("inner", [0.6, 0.9, 0.999])
+    def test_many_moments_cap_the_growth(self, inner):
+        # one pole inside the unit circle and 60 moments: the moved radius
+        # raises max(1, |z|)^59 by at most MOMENT_SCALE_GROWTH, so the node
+        # sums' rounding stays below the rule's tolerance
+        f = rational_from_poles([1.0 - 0.5j], [inner])
+        circle = CirclePath(0.0, 1.0)
+        target = moment_circle(f, circle, 60)
+        assert 1.0 < target.radius <= construct.MOMENT_SCALE_GROWTH ** (1.0 / 59) * (1.0 + 1e-15)
+        want, scale = residue_moments([1.0 - 0.5j], [inner], circle, 60)
+        for got, w, sc in zip(moment_test(f, target, 60), want, scale):
+            assert abs(got - w) <= 1e-12 * sc
 
     def test_root_finding_failure_keeps_the_circle(self, monkeypatch):
         def fail(rational):
@@ -489,7 +591,7 @@ class TestMomentCircle:
 
         monkeypatch.setattr(construct, "denominator_poles", fail)
         circle = CirclePath(0.0, 1.0)
-        assert moment_circle(rational_from_poles([1.0], [1.01]), circle) is circle
+        assert moment_circle(rational_from_poles([1.0], [1.01]), circle, 3) is circle
 
 
 class TestJointCircleRule:
