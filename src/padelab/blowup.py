@@ -18,11 +18,10 @@ rate of ln ln(1/eps); :func:`divergence_experiment` measures exactly that.
 
 Numerical safeguards: e^{it} - 1 is formed as 2i sin(t/2) e^{it/2} (no
 cancellation), the integrals substitute t = e^{-s} so the integrand is
-tame near 0, partial integrals accumulate with compensated summation, and
-1 - e^{it} is asserted to stay in the right half-plane (principal log
-branch unambiguous; violating that raises).  The integrals run through
-:func:`padelab.domains.adaptive_gauss_legendre`, which raises
-QuadratureError when a piece does not converge.
+tame near 0, and 1 - e^{it} is asserted to stay in the right half-plane
+(principal log branch unambiguous; violating that raises).  The
+integrals run through :func:`padelab.domains.adaptive_gauss_legendre`,
+which raises QuadratureError when a piece does not converge.
 
 :func:`boundary_integrand` takes a float or an array of t.  One batched run
 of the engine integrates every eps piece and the half-mass window together,
@@ -123,13 +122,15 @@ def boundary_integrand(t):
     # 1-D even for a float: NumPy's scalar arithmetic rounds some complex
     # products differently from its array loops
     t = np.asarray(t, dtype=float).reshape(-1)
-    if not ((0.0 < t) & (t < math.pi)).all():
-        raise PreconditionError(f"boundary integrand defined for 0 < t < pi, got {t}")
+    inside = (0.0 < t) & (t < math.pi)
+    if not inside.all():
+        raise PreconditionError(f"boundary integrand defined for 0 < t < pi, got {t[~inside]}")
     eit = np.exp(1j * t)
     em1 = 2j * np.sin(t / 2.0) * np.exp(1j * t / 2.0)  # e^{it} - 1
     one_minus = -em1
-    if (one_minus.real <= 0).any():
-        raise PreconditionError(f"log branch cut approached at t = {t}")
+    cut = one_minus.real <= 0
+    if cut.any():
+        raise PreconditionError(f"log branch cut approached at t = {t[cut]}")
     ratio = (eit - 3.0) / em1
     # both factors named: NumPy reuses a large temporary in place and may
     # swap the factors of a product, which can round differently
@@ -149,13 +150,8 @@ def _boundary_args(t: np.ndarray) -> list[float]:
 
 def arg_cauchy_gaps(k_max: int, k_min: int = 1) -> list[tuple[int, float]]:
     """Successive gaps |arg h(2^-(k+1)) - arg h(2^-k)| for k = k_min..k_max."""
-    out = []
-    prev = boundary_arg(2.0 ** (-k_min))
-    for k in range(k_min, k_max + 1):
-        nxt = boundary_arg(2.0 ** (-(k + 1)))
-        out.append((k, abs(nxt - prev)))
-        prev = nxt
-    return out
+    args = _boundary_args(2.0 ** -np.arange(k_min, k_max + 2))
+    return [(k, abs(nxt - prev)) for k, prev, nxt in zip(range(k_min, k_max + 1), args, args[1:])]
 
 
 @dataclass(frozen=True)
@@ -194,13 +190,6 @@ class DivergenceReport:
         ]
 
 
-def _kahan_add(total: complex, carry: complex, term: complex) -> tuple[complex, complex]:
-    y = term - carry
-    t = total + y
-    carry = (t - total) - y
-    return t, carry
-
-
 def _log_substituted_pairs(s_lo, s_hi) -> np.ndarray:
     """(int h dt, int |h| dt) over t = e^{-s}, s in [s_lo[k], s_hi[k]], to DIVERGENCE_TOL.
 
@@ -228,8 +217,8 @@ def divergence_experiment(eps_list, t0: float = 0.5) -> DivergenceReport:
 
     For each eps in the (strictly decreasing) list, computes
     I = |int_eps^t0 h dt| and J = int_eps^t0 |h| dt with the t = e^{-s}
-    substitution and compensated summation (QuadratureError if a piece
-    misses DIVERGENCE_TOL), together with the comparator
+    substitution (QuadratureError if a piece misses DIVERGENCE_TOL), the
+    pieces summed in order from t0 down, together with the comparator
     2 (ln ln(1/eps) - ln ln(1/t0)) and arg h(eps).  Also measures the
     half-mass window: on [eps_min, t1] where the sampled arg variation of
     h stays below pi/3, it reports |int h| and int |h| (the former must
@@ -250,23 +239,15 @@ def divergence_experiment(eps_list, t0: float = 0.5) -> DivergenceReport:
     s_edges = [math.log(1.0 / t0)] + [math.log(1.0 / eps) for eps in eps_list]
     s_lo = s_edges[:-1] + [math.log(1.0 / window[1])]
     s_hi = s_edges[1:] + [math.log(1.0 / window[0])]
-    *pieces, (i_win, j_win) = _log_substituted_pairs(s_lo, s_hi).tolist()
-    totals = _compensated_running_sums(pieces)
+    pairs = _log_substituted_pairs(s_lo, s_hi)
+    # cumsum adds left to right: row k is the sequential sum of pieces 0..k
+    totals = np.cumsum(pairs[:-1], axis=0).tolist()
+    i_win, j_win = pairs[-1].tolist()
     rows = tuple(
         DivergenceRow(eps=eps, I=abs(total_I), J=total_J.real, comparator=comparator_value(eps, t0), arg_h=arg_h)
         for eps, arg_h, (total_I, total_J) in zip(eps_list, _boundary_args(np.array(eps_list)), totals)
     )
     return DivergenceReport(t0, rows, window, abs(i_win), j_win.real)
-
-
-def _compensated_running_sums(pieces):
-    """Running sums of (I, J) piece pairs, each component with Kahan summation."""
-    total_I, carry_I = 0j, 0j
-    total_J, carry_J = 0j, 0j
-    for piece_I, piece_J in pieces:
-        total_I, carry_I = _kahan_add(total_I, carry_I, piece_I)
-        total_J, carry_J = _kahan_add(total_J, carry_J, piece_J)
-        yield total_I, total_J
 
 
 def _half_mass_window(eps: float, t0: float) -> tuple[float, float]:

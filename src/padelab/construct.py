@@ -64,7 +64,7 @@ from .series import (
 )
 from .sphere import chordal_array
 
-# Poles computed from a denominator are merged when closer than this.
+# Distance below which a pole lies on a boundary, or two poles coincide.
 POLE_MERGE_TOL = 1e-8
 # Residual of contour-moment verification, relative to coefficient scale.
 MOMENT_VERIFY_TOL = 1e-9
@@ -465,8 +465,7 @@ def denominator_poles(rational: RationalFunction) -> list[tuple[complex, int]]:
     multiplicities are recovered by gcd deflation instead: roots come
     from the square-free part B/gcd(B, B') (well-conditioned and simple),
     the multiplicity of each is read off derivative magnitudes, and the
-    root is polished by Newton on B^(multiplicity-1).  Square-free roots
-    closer than POLE_MERGE_TOL are still merged as a final safeguard.
+    root is polished by Newton on B^(multiplicity-1).
     """
     den = rational.denominator
     if den.degree <= 0:
@@ -476,7 +475,8 @@ def denominator_poles(rational: RationalFunction) -> list[tuple[complex, int]]:
 
     # gcd chain C_0 = B, C_{k+1} = gcd(C_k, C_k'); the quotient C_k/C_{k+1}
     # is square-free and carries exactly the roots of multiplicity > k
-    chain = [den]
+    den_prime = den.derivative()
+    chain = [den, polynomial_gcd(den, den_prime)]
     while chain[-1].degree > 0:
         chain.append(polynomial_gcd(chain[-1], chain[-1].derivative()))
     level_roots: list[np.ndarray] = []
@@ -489,16 +489,8 @@ def denominator_poles(rational: RationalFunction) -> list[tuple[complex, int]]:
         roots = np.roots(quot.coefficients[::-1]) if quot.degree > 0 else np.zeros(0, complex)
         level_roots.append(roots)
 
-    merged: list[complex] = []
-    for r in sorted(level_roots[0], key=lambda w: (w.real, w.imag)):
-        if not any(abs(r - m) < POLE_MERGE_TOL * max(1.0, abs(m)) for m in merged):
-            merged.append(complex(r))
-
-    derivs = [den]
-    for _ in range(den.degree):
-        derivs.append(derivs[-1].derivative())
     out = []
-    for root in merged:
+    for root in sorted(map(complex, level_roots[0]), key=lambda w: (w.real, w.imag)):
         mult = 1
         for deeper in level_roots[1:]:
             if any(abs(root - r) < 1e-5 * max(1.0, abs(root)) for r in deeper):
@@ -506,9 +498,10 @@ def denominator_poles(rational: RationalFunction) -> list[tuple[complex, int]]:
             else:
                 break
         # Newton polish on B^(mult-1), where the root is simple
+        f, df = (den, den_prime) if mult == 1 else (den.derivative(mult - 1), den.derivative(mult))
         z = root
         for _ in range(40):
-            fz, dfz = derivs[mult - 1](z), derivs[mult](z)
+            fz, dfz = f(z), df(z)
             if dfz == 0:
                 break
             step = fz / dfz

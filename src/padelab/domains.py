@@ -37,20 +37,8 @@ Path integrals run on NumPy arrays where the integrand allows it:
   The rule converges like rho^-N, rho the ratio between the radius and
   the distance of the nearest singularity from the centre (either way
   round), so a pole within 3e-3 of a unit circle runs it to the node cap.
-  For a rational f, ``construct.moment_circle`` therefore moves the circle
-  first (the CLI's ``moments`` does).  The moments of a rational do not
-  change while the circle stays between the same two pole distances
-  r_in < r < r_out (Cauchy's theorem); when a pole distance is within a
-  factor 2 of r, r is clamped into [2 r_in, r_out / 2], or set to
-  sqrt(r_in r_out) when that interval is empty.  A larger radius is
-  capped so that max(1, |z|)^(n-1) on it, the scale of the last of n
-  moments and of its rounding, grows by at most MOMENT_SCALE_GROWTH.  The
-  circle stays as given unless discs about the poles that hold all the
-  denominator's roots (Pellet's theorem) are disjoint and none lies
-  between the two radii, since a multiple pole that the pole finder
-  merged from a cluster of roots may stand for roots on both sides.  A
-  pole located to within POLE_MERGE_TOL and lying within POLE_MERGE_TOL
-  of the circle raises PoleOnBoundaryError.
+  ``padelab moments`` therefore takes a rational's moments on the circle
+  that ``construct.moment_circle`` picks.
 * on a :class:`PolylinePath`, composite 16-node Gauss-Legendre with
   adaptive bisection, all segments in one run of the engine.  There f is
   called one node at a time, so a scalar-only function such as
@@ -278,6 +266,8 @@ class StarlikeDomain(DomainSpec):
         self.profile = _sampled_profile(profile, theta, 3)
         if not np.all(self.profile > 0):
             raise ValueError("radial profile must be strictly positive")
+        # the profile is read-only, so the widest pair of opposite radii is fixed
+        self.diameter = float((self.profile + np.roll(self.profile, len(self.profile) // 2)).max())
 
     def radius_at(self, theta):
         """The interpolated profile at the angle theta, a float or an array of finite angles."""
@@ -295,12 +285,6 @@ class StarlikeDomain(DomainSpec):
         # a NaN angle, of a NaN point, reads as 0 and the NaN modulus compares False
         theta = np.array([math.atan2(y, x) for x, y in zip(w.real.tolist(), w.imag.tolist())])
         return np.hypot(w.real, w.imag) < self.radius_at(np.nan_to_num(theta))
-
-    @property
-    def diameter(self) -> float:
-        n = len(self.profile)
-        opposite = np.roll(self.profile, n // 2)
-        return float((self.profile + opposite).max())
 
     @property
     def path_budget(self) -> float:

@@ -128,6 +128,11 @@ class TestArgCauchyProperty:
         assert gaps[47] > 1e-3
         assert gaps[48] < 1e-3
 
+    def test_gaps_equal_point_by_point_args(self):
+        gaps = arg_cauchy_gaps(60, 3)
+        args = [boundary_arg(2.0 ** -k) for k in range(3, 62)]
+        assert gaps == [(k, abs(b - a)) for k, a, b in zip(range(3, 61), args, args[1:])]
+
     def test_gap_at_k25_measured(self):
         # the k = 25 dyadic gap is 3.46e-3; the asymptotic law is
         # gap(k) ~ (pi/2) ln 2 / (k ln 2)^2
@@ -193,6 +198,39 @@ class TestDivergenceExperiment:
         j_alone = adaptive_gauss_legendre(abs_h_t, s_lo, s_hi, DIVERGENCE_TOL)
         assert abs(report.rows[0].I - abs(i_alone)) <= DIVERGENCE_TOL
         assert abs(report.rows[0].J - j_alone.real) <= DIVERGENCE_TOL
+
+    def test_rows_are_sequential_sums_of_the_pieces(self, monkeypatch):
+        # the longest eps list of the benchmark's divergence operations:
+        # 1e-2 down to 1e-30, 4 per decade, as `padelab divergence` spaces it
+        count = 28 * 4 + 1
+        eps_list = [1e-2 * (1e-30 / 1e-2) ** (i / (count - 1)) for i in range(count)]
+        engine_runs = []
+
+        def recorded(s_lo, s_hi):
+            pairs = log_substituted_pairs(s_lo, s_hi)
+            engine_runs.append(pairs)
+            return pairs
+
+        log_substituted_pairs = padelab.blowup._log_substituted_pairs
+        monkeypatch.setattr(padelab.blowup, "_log_substituted_pairs", recorded)
+        report = divergence_experiment(eps_list, t0=0.5)
+        (pairs,) = engine_runs
+        pieces = pairs[:-1].tolist()  # the last pair is the half-mass window
+        assert len(pieces) == len(report.rows) == count
+
+        total_i = total_j = 0j
+        kahan_i = kahan_j = carry_i = carry_j = 0j
+        for row, (piece_i, piece_j) in zip(report.rows, pieces):
+            total_i += piece_i
+            total_j += piece_j
+            assert row.I == abs(total_i) and row.J == total_j.real
+            # Kahan-summed reference: the plain sum stays far inside DIVERGENCE_TOL of it
+            y_i, y_j = piece_i - carry_i, piece_j - carry_j
+            t_i, t_j = kahan_i + y_i, kahan_j + y_j
+            carry_i, carry_j = (t_i - kahan_i) - y_i, (t_j - kahan_j) - y_j
+            kahan_i, kahan_j = t_i, t_j
+            assert abs(row.I - abs(kahan_i)) <= 1e-13
+            assert abs(row.J - kahan_j.real) <= 1e-13
 
     def test_unresolved_integrand_raises(self, monkeypatch):
         # a jump at t = 0.1 (not a bisection point in s) keeps the piece

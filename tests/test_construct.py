@@ -19,6 +19,7 @@ from padelab import (
     disc_grid_sample,
     moment_test,
     path_integral,
+    polynomial_gcd,
     principal_parts,
     residue_correction,
     series_builtin,
@@ -28,6 +29,7 @@ from padelab import (
     volterra_apply,
 )
 from padelab import construct
+from padelab.series import polynomial_divmod
 from padelab.errors import (
     FitFailureError,
     IndeterminateValueError,
@@ -394,6 +396,58 @@ class TestPrincipalParts:
         pole, mult = poles[0]
         assert mult == 3
         assert abs(pole - 1.0) < 1e-9
+
+    def test_polish_matches_the_full_derivative_ladder(self):
+        # reference pole finder: the same gcd chain and multiplicity count, with
+        # Newton on entries mult-1 and mult of the ladder of every derivative up
+        # to the degree, each one .derivative() of the last
+        def reference(den):
+            chain = [den]
+            while chain[-1].degree > 0:
+                chain.append(polynomial_gcd(chain[-1], chain[-1].derivative()))
+            level_roots = []
+            for c_k, c_next in zip(chain, chain[1:]):
+                quot = polynomial_divmod(c_k, c_next)[0] if c_next.degree > 0 else c_k
+                level_roots.append(np.roots(quot.coefficients[::-1]) if quot.degree > 0 else [])
+            ladder = [den]
+            for _ in range(den.degree):
+                ladder.append(ladder[-1].derivative())
+            out = []
+            for root in sorted(map(complex, level_roots[0]), key=lambda w: (w.real, w.imag)):
+                mult = 1
+                for deeper in level_roots[1:]:
+                    if not any(abs(root - r) < 1e-5 * max(1.0, abs(root)) for r in deeper):
+                        break
+                    mult += 1
+                z = root
+                for _ in range(40):
+                    fz, dfz = ladder[mult - 1](z), ladder[mult](z)
+                    if dfz == 0:
+                        break
+                    step = fz / dfz
+                    z -= step
+                    if abs(step) <= 1e-15 * max(1.0, abs(z)):
+                        break
+                out.append((complex(z), mult))
+            return out
+
+        gen = random.Random(20)
+        seen = set()
+        for _ in range(300):
+            centre = complex(gen.uniform(-3, 3), gen.uniform(-3, 3))
+            spread = 10.0 ** gen.uniform(-1, 0)
+            mults = [gen.randint(1, 3) for _ in range(gen.randint(1, 3))]
+            roots = [centre + spread * complex(gen.uniform(-1, 1), gen.uniform(-1, 1)) for _ in mults]
+            den = Polynomial(np.polynomial.polynomial.polyfromroots(
+                [a for a, m in zip(roots, mults) for _ in range(m)]))
+            want = reference(den)
+            if sum(m for _, m in want) != den.degree:
+                with pytest.raises(RootFindingError, match="inconsistent with denominator degree"):
+                    denominator_poles(RationalFunction(Polynomial([1.0]), den))
+                continue
+            assert denominator_poles(RationalFunction(Polynomial([1.0]), den)) == want
+            seen.update(m for _, m in want)
+        assert seen == {1, 2, 3}
 
     def test_inconsistent_multiplicities_raise(self):
         # a double root 4.7e-5 from a simple one: the tolerant gcd of B and B' takes
