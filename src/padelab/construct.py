@@ -19,7 +19,7 @@ This module turns existence arguments into checkable computations:
   corrections: the first extracts the singular part of a rational function
   inside a region, the second removes the Laurent coefficients of orders
   -1..-n at listed poles so the remainder admits an order-n single-valued
-  antiderivative (checked by contour moments).
+  antiderivative.  Both build one rational over a known denominator.
 * :func:`antiderivative_cascade` -- repeated anchored antiderivatives
   lifting an approximation of the n-th derivative to an approximation of
   the function with geometrically tightening error levels.
@@ -59,6 +59,7 @@ from .series import (
     polynomial_divmod,
     polynomial_gcd,
     _stacked,
+    _synthetic_division,
     taylor_of_rational,
     values_on,
 )
@@ -546,12 +547,31 @@ def _winding_inside(sample: CompactSample, point: complex) -> bool:
     return abs(total) > math.pi
 
 
-def _pole_term(c: complex, a: complex, j: int) -> RationalFunction:
-    """The term c / (z - a)^j."""
-    den = Polynomial([1.0])
-    for _ in range(j):
-        den = den * Polynomial([-a, 1.0])
-    return RationalFunction(Polynomial([c]), den)
+def _minus_parts(numerator: np.ndarray, den: Polynomial, parts) -> RationalFunction:
+    """numerator / B - sum c_j / (z - a)^j over parts (a, [c_1..c_k], full),
+    as one rational over B with (z - a)^k divided out where full, under the
+    remainder rules (a) and (b) of :func:`residue_correction`."""
+    b, out, size = den.coefficients, numerator, float(np.abs(numerator).max())
+    for a, coeffs, _ in parts:
+        w, k = complex(a) - den.center, len(coeffs)
+        quotient, remainders = _synthetic_division(b, w, k)
+        bounds = _synthetic_division(np.abs(b), abs(w), k)[1]
+        for j, (r, bound) in enumerate(zip(remainders.tolist(), bounds.tolist()), start=1):
+            if abs(r) > MOMENT_VERIFY_TOL * abs(bound):
+                raise VerificationError(f"pole {a!r}: (z - a)^{j} does not divide the denominator, remainder {r!r}")
+        # B/(z - a)^j = quotient (z - a)^(k-j); c_1 (z - a)^(k-1) + ... + c_k shifted to powers of (z - centre)
+        part = np.convolve(quotient, _synthetic_division(np.array(coeffs[::-1], dtype=complex), -w, k)[1])
+        out = np.polynomial.polynomial.polysub(out, part)
+        size = max(size, float(np.abs(part).max()))
+    for a, coeffs in (part[:2] for part in parts if part[2]):
+        w, m = complex(a) - den.center, len(coeffs)
+        out, remainders = _synthetic_division(out, w, m)
+        b = _synthetic_division(b, w, m)[0]
+        q_at_a = abs(_synthetic_division(b, w, 1)[1][0])  # |B/(z - a)^m| at a
+        for i, r in enumerate(remainders.tolist()):
+            if abs(r) > MOMENT_VERIFY_TOL * size * q_at_a:
+                raise VerificationError(f"pole {a!r}: the Laurent coefficient of order {i - m} is left at {r / q_at_a!r}")
+    return RationalFunction(Polynomial(out, den.center), Polynomial(b, den.center), _normalized=True)
 
 
 def principal_parts(rational: RationalFunction, region) -> RationalFunction:
@@ -559,9 +579,11 @@ def principal_parts(rational: RationalFunction, region) -> RationalFunction:
 
     ``region`` is a (center, radius) disc description or a CompactSample
     of a closed curve (membership then decided by winding number).  The
-    difference rational - result is verified analytic near the selected
-    poles by numeric residue integrals.  A polynomial (no poles) maps
-    to the zero rational.
+    result is one rational over prod (z - a)^m, monic and coprime by
+    construction; a polynomial (no poles) maps to the zero rational.
+    rational - result is formed as in :func:`residue_correction`, with each
+    (z - a)^m divided out under its remainder rules (a) and (b), and its
+    residue is then checked at each selected pole.
     """
     poles = denominator_poles(rational)
     if isinstance(region, CompactSample):
@@ -576,7 +598,6 @@ def principal_parts(rational: RationalFunction, region) -> RationalFunction:
         def boundary_distance(w):
             return abs(abs(w - center) - radius)
 
-    zero = RationalFunction(Polynomial([0.0]), Polynomial([1.0]), _normalized=True)
     selected = []
     for pole, mult in poles:
         dist = boundary_distance(pole)
@@ -584,18 +605,13 @@ def principal_parts(rational: RationalFunction, region) -> RationalFunction:
             raise PoleOnBoundaryError(f"pole {pole} lies on the region boundary")
         if inside(pole):
             selected.append((pole, mult))
-    if not selected:
-        return zero
 
-    total = zero
-    for pole, mult in selected:
-        coeffs = laurent_coefficients(rational, pole, mult, mult)
-        for j, c in enumerate(coeffs, start=1):
-            if c == 0:
-                continue
-            total = total + _pole_term(c, pole, j)
-    _verify_residues_vanish(rational - total, [p for p, _ in selected], 1)
-    return total
+    parts = [(pole, laurent_coefficients(rational, pole, mult, mult)) for pole, mult in selected]
+    rest = _minus_parts(rational.numerator.coefficients, rational.denominator, [(p, c, True) for p, c in parts])
+    _verify_residues_vanish(rest, [p for p, _ in selected], 1, [p for p, _ in poles])
+    # 0 - sum (-c_j) / (z - a)^j over prod (z - a)^m
+    den = Polynomial(np.polynomial.polynomial.polyfromroots([p for p, m in selected for _ in range(m)]))
+    return _minus_parts(np.zeros(1), den, [(p, [-c for c in coeffs], False) for p, coeffs in parts])
 
 
 def _root_disc_radius(den: Polynomial, pole: complex, mult: int) -> float:
@@ -696,10 +712,10 @@ def _pole_check_radius(pole: complex, all_poles: list[complex]) -> float:
     return 0.45 * min(others) if others else 0.25
 
 
-def _verify_residues_vanish(rational: RationalFunction, poles: list[complex], n: int):
+def _verify_residues_vanish(rational: RationalFunction, poles: list[complex], n: int, neighbours: list[complex]):
     scale = max(1.0, rational.numerator.coefficient_scale())
     for pole in poles:
-        cycle = CirclePath(pole, _pole_check_radius(pole, poles))
+        cycle = CirclePath(pole, _pole_check_radius(pole, neighbours))
         # the moments (z - a)^(j-1) for j = 1..n from one node set, then the verdicts in j order
         moments = path_integral(moment_integrand(rational, pole, n), cycle).tolist()
         for j, moment in enumerate(moments, start=1):
@@ -723,6 +739,13 @@ def residue_correction(
     vanishes around each listed pole, so corrected admits an order-n
     single-valued antiderivative near them.  A pole of the input outside
     the list raises PoleNotInListError.
+
+    The numerator A - sum table[(a, j)] B/(z - a)^j is formed once over B,
+    and (z - a)^m divided out of both where the order m is at most n.
+    VerificationError: (a) a remainder of B by (z - a)^j above
+    MOMENT_VERIFY_TOL times |B|'s at |a|; (b) a numerator remainder r there
+    with |r / Q(a)|, Q = B/(z - a)^m, above MOMENT_VERIFY_TOL times the size
+    of A and the parts before cancellation.  The moments are then checked.
     """
     if n < 1:
         raise PreconditionError("n must be at least 1")
@@ -733,19 +756,15 @@ def residue_correction(
             raise PoleNotInListError(f"pole {pole} is not in the declared list")
 
     table: dict[tuple[complex, int], complex] = {}
-    corrected = rational
+    parts = []
     for a in listed:
-        match = [(p, m) for p, m in found if abs(p - a) < 1e-6 * max(1.0, abs(a))]
-        mult = match[0][1] if match else 0
-        coeffs = (
-            laurent_coefficients(rational, match[0][0], mult, n) if match else [0j] * n
-        )
-        for j, c in enumerate(coeffs, start=1):
-            table[(a, j)] = c
-            if c == 0:
-                continue
-            corrected = corrected - _pole_term(c, a, j)
-    _verify_residues_vanish(corrected, listed, n)
+        pole, mult = next(((p, m) for p, m in found if abs(p - a) < 1e-6 * max(1.0, abs(a))), (a, 0))
+        coeffs = laurent_coefficients(rational, pole, mult, n) if mult else [0j] * n
+        table.update(((a, j), c) for j, c in enumerate(coeffs, start=1))
+        if mult:
+            parts.append((a, coeffs[:mult], n >= mult))
+    corrected = _minus_parts(rational.numerator.coefficients, rational.denominator, parts)
+    _verify_residues_vanish(corrected, listed, n, listed)
     return corrected, table
 
 

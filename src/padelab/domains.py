@@ -202,11 +202,12 @@ _COUNT_WORDS = {2: "two", 3: "three"}
 
 def _sampled_profile(profile, grid: np.ndarray, minimum: int) -> np.ndarray:
     """Read-only samples of a profile: a callable is sampled on ``grid``,
-    an array is taken as is; fewer than ``minimum`` samples is an error."""
+    an array is copied (the caller's stays writable and apart); fewer than
+    ``minimum`` samples is an error."""
     if callable(profile):
         samples = np.array([float(profile(t)) for t in grid])
     else:
-        samples = np.asarray(profile, dtype=float)
+        samples = np.array(profile, dtype=float)
     if samples.ndim != 1 or samples.size < minimum:
         raise ValueError(f"profile needs at least {_COUNT_WORDS[minimum]} samples")
     samples.setflags(write=False)
@@ -506,7 +507,9 @@ def path_integral(f, path) -> complex:
     function (``cmath.exp``, a recorder of the points it is called at) can
     be integrated along the paths of :func:`antiderivative_at`; all the
     segments go to :func:`adaptive_gauss_legendre` as one batch, each with
-    tolerance QUAD_TOL divided by the number of segments.
+    tolerance QUAD_TOL divided by the number of segments, and their
+    integrals are added in path order.  Trailing component axes of f's
+    values carry over to the integral; a scalar f gives a ``complex``.
     """
     if isinstance(path, CirclePath):
         return _circle_integral(f, path)
@@ -516,10 +519,9 @@ def path_integral(f, path) -> complex:
 
     segments = path.segments()
     lo, hi = np.array([s for s in segments if s[0] != s[1]], dtype=complex).reshape(-1, 2).T
-    acc = 0j
-    for value in adaptive_gauss_legendre(at_nodes, lo, hi, QUAD_TOL / len(segments)).tolist():
-        acc += value
-    return acc
+    values = adaptive_gauss_legendre(at_nodes, lo, hi, QUAD_TOL / len(segments))
+    total = sum(values, np.zeros(values.shape[1:], dtype=complex))
+    return complex(total) if np.ndim(total) == 0 else total
 
 
 def antiderivative_at(f, domain: DomainSpec, z0: complex, z: complex) -> complex:
@@ -560,10 +562,11 @@ def moment_test(f, cycle, n: int) -> list[complex]:
     """Moments ``int z^i f(z) dz`` for i = 0..n-1 over a closed cycle.
 
     All moments below tolerance is the criterion for f to admit a
-    single-valued antiderivative of order n near the cycle.  On a
+    single-valued antiderivative of order n near the cycle.  All n moments
+    come from one integral of :func:`moment_integrand`: on a
     :class:`CirclePath` f is called on arrays of points, once per doubling
-    of the trapezoidal rule for all n moments (:func:`moment_integrand`);
-    on a closed polyline, one point at a time and once per moment.
+    of the trapezoidal rule; on a closed polyline, one point at a time,
+    once per node.
 
     The rule converges like rho^-N, where rho is the ratio of the circle's
     radius to the nearest singular modulus, so a singularity close to the
@@ -577,6 +580,5 @@ def moment_test(f, cycle, n: int) -> list[complex]:
         raise ValueError("n must be at least 1")
     if not cycle.is_closed:
         raise ValueError("moment test needs a closed cycle")
-    if isinstance(cycle, CirclePath):
-        return path_integral(moment_integrand(f, 0j, n), cycle).tolist()
-    return [path_integral(lambda z, k=i: z**k * f(z), cycle) for i in range(n)]
+    # a cycle of one repeated point integrates to a scalar 0 in every moment
+    return np.broadcast_to(path_integral(moment_integrand(f, 0j, n), cycle), (n,)).tolist()

@@ -334,16 +334,7 @@ class Polynomial:
         new_center = complex(new_center)
         if new_center == self.center:
             return self
-        shift = new_center - self.center
-        work = np.array(self.coefficients, dtype=complex)
-        n = len(work)
-        out = np.zeros(n, dtype=complex)
-        for k in range(n):
-            # repeated synthetic division of the current quotient by (w - shift)
-            for i in range(n - 2 - k, -1, -1):
-                work[i] = work[i] + shift * work[i + 1]
-            out[k] = work[0]
-            work = work[1:]
+        _, out = _synthetic_division(self.coefficients, new_center - self.center, len(self.coefficients))
         return Polynomial(out, new_center)
 
     def to_data(self) -> dict:
@@ -381,6 +372,20 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.coefficients.tolist()!r}, center={self.center!r})"
+
+
+def _synthetic_division(coefficients: np.ndarray, a: complex, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Divide ``sum c_i w^i`` by ``(w - a)`` k times: the quotient, and the k
+    remainders, the Taylor coefficients of orders 0..k-1 at ``w = a`` (0 once
+    the quotient is used up)."""
+    work = np.array(coefficients, dtype=complex)
+    remainders = np.zeros(k, dtype=complex)
+    for r in range(min(k, len(work))):
+        for i in range(len(work) - 2, -1, -1):
+            work[i] = work[i] + a * work[i + 1]
+        remainders[r] = work[0]
+        work = work[1:]
+    return work, remainders
 
 
 def polynomial_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:

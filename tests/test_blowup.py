@@ -106,6 +106,21 @@ class TestBoundaryIntegrand:
             with pytest.raises(PreconditionError):
                 boundary_integrand(np.array([[0.1, 0.2], [t, 0.3]]))
 
+    def test_tiny_t_is_off_the_branch_cut(self):
+        # at t = 2^-537 the rounded real part of 1 - e^{it}, 2 sin^2(t/2), is -0.0;
+        # h is then (2i/t) / (ln t - i pi/2) to within O(t)
+        t = 2.0**-537
+        want = (2j / t) / (math.log(t) - 0.5j * math.pi)
+        got = boundary_integrand(t)
+        assert abs(got - want) <= 1e-15 * abs(want)
+        assert boundary_integrand(np.array([t, 0.25])).tolist() == [got, boundary_integrand(0.25)]
+
+    def test_t_beyond_double_precision_rejected(self):
+        # sin(t/2) underflows to 0 at the smallest subnormal; 2/t overflows below about 1e-308
+        for t in (5e-324, 1e-310):
+            with pytest.raises(PreconditionError, match="not finite in double precision"):
+                boundary_integrand(t)
+
     def test_array_equals_float_calls_bit_for_bit(self):
         # more than 2^14 values: NumPy reuses temporaries that large in place
         t = np.concatenate([np.linspace(1e-3, 3.14, 8192), np.exp(-np.linspace(0.0, 40.0, 8292))])

@@ -101,6 +101,15 @@ class TestDispatch:
         i_column = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(b > a for a, b in zip(i_column, i_column[1:]))
 
+    def test_divergence_gaps_below_the_real_part_underflow(self, tmp_path):
+        # k = 536 evaluates h at t = 2^-537, where Re(1 - e^{it}) rounds to -0.0
+        out = tmp_path / "gaps.csv"
+        assert run(["divergence", "--eps-min", "1e-3", "--eps-max", "1e-2",
+                    "--gaps", "536", "--gaps-out", str(out)]) == EXIT_OK
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == "k,gap" and len(lines) == 1 + 536
+        assert lines[-1].startswith("536,")
+
     def test_divergence_many_rows(self, capsys):
         # 1201 eps pieces and the half-mass window share one batched engine run
         assert run(["divergence", "--per-decade", "200"]) == EXIT_OK

@@ -60,6 +60,17 @@ class TestContainment:
         for z in complex_normal(rng, 40):
             assert star.contains(z) == disc.contains(z)
 
+    def test_profile_array_is_copied(self):
+        # the domain keeps its own read-only samples; the caller's array stays writable
+        a = np.ones(64)
+        star = StarlikeDomain(0, a)
+        corridor = CorridorDomain(a, 0.0)
+        diameter = star.diameter
+        a[0] = 2.0
+        assert star.profile[0] == 1.0 and corridor.profile[0] == 1.0
+        assert star.diameter == diameter
+        assert not star.profile.flags.writeable
+
 
 class TestBoundedPath:
     def test_disc_straight_segment(self):
@@ -215,6 +226,14 @@ class TestPathIntegral:
         # a polyline of degenerate segments only integrates to 0j
         point = PolylinePath([0.5j, 0.5j])
         assert type(path_integral(lambda z: z, point)) is complex and path_integral(lambda z: z, point) == 0
+
+    def test_component_values_on_a_polyline(self):
+        # trailing component axes pass through, each component summed in path order
+        polyline = PolylinePath([0.0, 1.0, 1.0 + 1j])
+        value = path_integral(lambda z: np.array([1.0, z]), polyline)
+        assert value.shape == (2,)
+        assert abs(value[0] - (1.0 + 1j)) < 1e-14
+        assert abs(value[1] - (1.0 + 1j) ** 2 / 2.0) < 1e-14
 
     def test_segments_sum_in_path_order(self):
         # one batched run over the segments equals the segment-by-segment sum
@@ -383,6 +402,16 @@ class TestMomentTest:
     def test_open_path_rejected(self):
         with pytest.raises(ValueError):
             moment_test(np.exp, PolylinePath([0.0, 1.0]), 1)
+
+    def test_closed_square(self):
+        # one integral of all the moments along a polyline, a point at a time
+        square = PolylinePath([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
+        pole = moment_test(lambda z: 1.0 / z, square, 3)
+        assert len(pole) == 3 and all(type(m) is complex for m in pole)
+        assert abs(pole[0] - 2j * math.pi) < 1e-10
+        assert abs(pole[1]) < 1e-10 and abs(pole[2]) < 1e-10
+        assert all(abs(m) < 1e-10 for m in moment_test(cmath.exp, square, 3))
+        assert moment_test(cmath.exp, PolylinePath([0.5j, 0.5j]), 2) == [0j, 0j]
 
 
 
