@@ -29,6 +29,7 @@ This module turns existence arguments into checkable computations:
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -44,7 +45,6 @@ from .errors import (
     PoleNotInListError,
     PoleOnBoundaryError,
     PreconditionError,
-    RootFindingError,
     VerificationError,
 )
 from .pade import _common_zero_values, _extended_values, normality, pade_construct
@@ -56,10 +56,9 @@ from .series import (
     _derivative_values,
     _horner,
     modulus,
-    polynomial_divmod,
-    polynomial_gcd,
     _stacked,
     _synthetic_division,
+    array_quotient,
     taylor_of_rational,
     values_on,
 )
@@ -458,63 +457,50 @@ def universality_pipeline(
 # --- principal parts and residue correction --------------------------------------
 
 
-def denominator_poles(rational: RationalFunction) -> list[tuple[complex, int]]:
-    """Poles with multiplicities from the denominator's roots.
+def _newton(f: Polynomial, df: Polynomial, z: complex) -> complex:
+    """Newton's method on f from z, to a step of 1e-15 relative or 40 steps."""
+    for _ in range(40):
+        fz, dfz = f(z), df(z)
+        if dfz == 0:
+            break
+        step = fz / dfz
+        z -= step
+        if abs(step) <= 1e-15 * max(1.0, abs(z)):
+            break
+    return complex(z)
 
-    Companion-matrix roots of a polynomial with an m-fold root scatter in
-    a cluster of radius ~eps^(1/m), far beyond any fixed merge radius, so
-    multiplicities are recovered by gcd deflation instead: roots come
-    from the square-free part B/gcd(B, B') (well-conditioned and simple),
-    the multiplicity of each is read off derivative magnitudes, and the
-    root is polished by Newton on B^(multiplicity-1).
+
+def denominator_poles(rational: RationalFunction) -> list[tuple[complex, int, float]]:
+    """The denominator's roots as certified clusters ``(centre, count, radius)``.
+
+    The discs ``|z - centre| < radius`` are disjoint, and each holds exactly
+    ``count`` roots of the denominator B (:func:`_root_disc_radius`).  The
+    computed roots of B start as one group each, in order of real then
+    imaginary part; while a group's disc, for a count equal to its size, is
+    infinite or meets another, the widest such group is merged with the
+    group whose centre is nearest.  A group of one is polished by Newton on
+    B.  A group of m is centred by Newton on B^(m-1) from the mean of its
+    computed roots, which is well conditioned (Zeng, Math. Comp. 74, 2005),
+    and a true m-fold root is simple there.
     """
     den = rational.denominator
     if den.degree <= 0:
         return []
     if den.center != 0:
         den = den.recentered(0.0)
-
-    # gcd chain C_0 = B, C_{k+1} = gcd(C_k, C_k'); the quotient C_k/C_{k+1}
-    # is square-free and carries exactly the roots of multiplicity > k
     den_prime = den.derivative()
-    chain = [den, polynomial_gcd(den, den_prime)]
-    while chain[-1].degree > 0:
-        chain.append(polynomial_gcd(chain[-1], chain[-1].derivative()))
-    level_roots: list[np.ndarray] = []
-    for c_k, c_next in zip(chain, chain[1:]):
-        quot = c_k
-        if c_next.degree > 0:
-            quot, _ = polynomial_divmod(c_k, c_next)
-        # the trim keeps every coefficient below 1e13 times the leading one, so the
-        # companion matrix is finite and so are its eigenvalues
-        roots = np.roots(quot.coefficients[::-1]) if quot.degree > 0 else np.zeros(0, complex)
-        level_roots.append(roots)
-
-    out = []
-    for root in sorted(map(complex, level_roots[0]), key=lambda w: (w.real, w.imag)):
-        mult = 1
-        for deeper in level_roots[1:]:
-            if any(abs(root - r) < 1e-5 * max(1.0, abs(root)) for r in deeper):
-                mult += 1
-            else:
-                break
-        # Newton polish on B^(mult-1), where the root is simple
-        f, df = (den, den_prime) if mult == 1 else (den.derivative(mult - 1), den.derivative(mult))
-        z = root
-        for _ in range(40):
-            fz, dfz = f(z), df(z)
-            if dfz == 0:
-                break
-            step = fz / dfz
-            z -= step
-            if abs(step) <= 1e-15 * max(1.0, abs(z)):
-                break
-        out.append((complex(z), mult))
-    if sum(m for _, m in out) != den.degree:
-        raise RootFindingError(
-            f"pole multiplicities {out} inconsistent with denominator degree {den.degree}"
-        )
-    return out
+    groups = [[root] for root in sorted(map(complex, np.roots(den.coefficients[::-1])), key=lambda w: (w.real, w.imag))]
+    clusters = [(c, 1, _root_disc_radius(den, c, 1)) for c in (_newton(den, den_prime, root) for root, in groups)]
+    while meets := [i for i, (c, _, r) in enumerate(clusters) if any(abs(c - d) <= r + s for d, _, s in clusters[:i] + clusters[i + 1:])]:
+        i = max(meets, key=lambda i: clusters[i][2])
+        j = min((j for j in range(len(clusters)) if j != i), key=lambda j: abs(clusters[j][0] - clusters[i][0]))
+        i, j = sorted((i, j))
+        groups[i] += groups.pop(j)
+        clusters.pop(j)
+        m = len(groups[i])
+        centre = _newton(den.derivative(m - 1), den.derivative(m), sum(groups[i]) / m)
+        clusters[i] = (centre, m, _root_disc_radius(den, centre, m))
+    return clusters
 
 
 def laurent_coefficients(rational: RationalFunction, pole: complex, multiplicity: int, n: int) -> list[complex]:
@@ -541,10 +527,7 @@ def laurent_coefficients(rational: RationalFunction, pole: complex, multiplicity
 def _winding_inside(sample: CompactSample, point: complex) -> bool:
     """Winding number of the sample (taken as a closed polygon) around a point."""
     pts = sample.points
-    total = 0.0
-    for a, b in zip(pts, np.roll(pts, -1)):
-        total += np.angle((b - point) / (a - point))
-    return abs(total) > math.pi
+    return abs(np.sum(np.angle((np.roll(pts, -1) - point) / (pts - point)))) > math.pi
 
 
 def _minus_parts(numerator: np.ndarray, den: Polynomial, parts) -> RationalFunction:
@@ -578,9 +561,11 @@ def principal_parts(rational: RationalFunction, region) -> RationalFunction:
     """Sum of principal parts at the poles inside a region.
 
     ``region`` is a (center, radius) disc description or a CompactSample
-    of a closed curve (membership then decided by winding number).  The
-    result is one rational over prod (z - a)^m, monic and coprime by
-    construction; a polynomial (no poles) maps to the zero rational.
+    of a closed curve (membership then decided by winding number).  Each
+    cluster of :func:`denominator_poles` is a pole of order m, its count,
+    at its centre a.  The result is one rational over prod (z - a)^m,
+    monic and coprime by construction; a polynomial (no poles) maps to the
+    zero rational.
     rational - result is formed as in :func:`residue_correction`, with each
     (z - a)^m divided out under its remainder rules (a) and (b), and its
     residue is then checked at each selected pole.
@@ -599,7 +584,7 @@ def principal_parts(rational: RationalFunction, region) -> RationalFunction:
             return abs(abs(w - center) - radius)
 
     selected = []
-    for pole, mult in poles:
+    for pole, mult, _ in poles:
         dist = boundary_distance(pole)
         if dist < POLE_MERGE_TOL * max(1.0, abs(pole)):
             raise PoleOnBoundaryError(f"pole {pole} lies on the region boundary")
@@ -608,40 +593,38 @@ def principal_parts(rational: RationalFunction, region) -> RationalFunction:
 
     parts = [(pole, laurent_coefficients(rational, pole, mult, mult)) for pole, mult in selected]
     rest = _minus_parts(rational.numerator.coefficients, rational.denominator, [(p, c, True) for p, c in parts])
-    _verify_residues_vanish(rest, [p for p, _ in selected], 1, [p for p, _ in poles])
+    _verify_residues_vanish(rest, [p for p, _ in selected], 1, [p for p, _, _ in poles])
     # 0 - sum (-c_j) / (z - a)^j over prod (z - a)^m
     den = Polynomial(np.polynomial.polynomial.polyfromroots([p for p, m in selected for _ in range(m)]))
     return _minus_parts(np.zeros(1), den, [(p, [-c for c in coeffs], False) for p, coeffs in parts])
 
 
 def _root_disc_radius(den: Polynomial, pole: complex, mult: int) -> float:
-    """A radius about a computed pole within which lie exactly ``mult`` roots of ``den``.
+    """A radius about a point within which lie exactly ``mult`` roots of ``den``.
 
     Pellet's theorem: with den = sum_k beta_k (z - pole)^k, whenever
     |beta_m| rho^m > sum_{k != m} |beta_k| rho^k exactly m roots lie in
-    |z - pole| < rho.  Each |beta_k| is widened by a bound on the rounding
-    of the shift, which sums binomial(j, k) |b_j| |shift|^(j-k) over the
+    |z - pole| < rho.  The beta_k come from the synthetic division that
+    ``Polynomial.recentered`` runs, and each |beta_k| is widened by a bound
+    on its rounding, which sums binomial(j, k) |b_j| |shift|^(j-k) over the
     coefficients b_j of den.  Radii are tried from the low-order estimate
-    up in factors of 2; inf when none up to max(1, |pole|) qualifies.  A
-    multiple pole that the tolerant gcd merged from a cluster of simple
-    roots gets about the cluster's radius, a true multiple or well
-    separated simple pole a radius near roundoff.
+    up in factors of 2; inf when none up to max(1, |pole|) qualifies.  For
+    m = deg den the first radius tried qualifies (Fujiwara's bound).
     """
-    beta = den.recentered(pole).coefficients.tolist()
-    coefficients = den.coefficients.tolist()
-    if len(beta) != len(coefficients):
-        return math.inf
-    reach = 2.0 * max(1.0, abs(pole - den.center))  # binomial(j, k) |shift|^(j-k) <= reach^j
-    slack = 4.0 * len(beta) * sys.float_info.epsilon * sum(abs(b) * reach**j for j, b in enumerate(coefficients))
-    upper = [abs(b) + slack for b in beta]
-    head = upper[mult] - 2.0 * slack
+    coefficients, shift = den.coefficients, pole - den.center
+    size = len(coefficients)
+    beta = np.abs(_synthetic_division(coefficients, shift, size)[1])
+    # the same division of the |b_j| at |shift| sums binomial(j, k) |b_j| |shift|^(j-k)
+    slack = 4.0 * size * sys.float_info.epsilon * _synthetic_division(np.abs(coefficients), abs(shift), size)[1].real
+    upper = (beta + slack).tolist()
+    head = float(beta[mult] - slack[mult])
     upper[mult] = 0.0
     if head <= 0.0:
         return math.inf
     limit = max(1.0, abs(pole))
     rho = max(2.0 * max((upper[k] / head) ** (1.0 / (mult - k)) for k in range(mult)),
               sys.float_info.epsilon * limit)
-    while rho <= limit:
+    while rho <= limit or mult == size - 1:
         if head * rho**mult > sum(u * rho**k for k, u in enumerate(upper)):
             return rho
         rho *= 2.0
@@ -666,29 +649,22 @@ def moment_circle(rational: RationalFunction, circle: CirclePath, n: int) -> Cir
       the largest moment's node sum and so of its rounding, reaches
       MOMENT_SCALE_GROWTH times its value on the given circle.
 
-    The poles come from :func:`denominator_poles`; when it raises
-    RootFindingError the circle is kept.  Where a circle may move, each
-    pole's roots are located by :func:`_root_disc_radius`, and the circle
-    is kept unless those discs are disjoint and none meets the radii
-    between r and the new one: a multiple pole merged from a cluster of
-    roots may stand for roots on both sides of a radius.  A pole located to
+    The poles are the centres of the clusters of :func:`denominator_poles`,
+    whose disjoint discs hold all the denominator's roots.  The circle is
+    kept when a disc meets the radii between r and the new one, since a
+    cluster may hold roots on both sides of a radius.  A cluster located to
     within POLE_MERGE_TOL and lying within POLE_MERGE_TOL of the circle,
     where the moments are undefined, raises PoleOnBoundaryError.
     """
-    try:
-        poles = denominator_poles(rational)
-    except RootFindingError:
-        return circle
+    clusters = denominator_poles(rational)
     r = circle.radius
-    distances = [abs(pole - circle.center) for pole, _ in poles]
-    on_circle = [abs(d - r) < POLE_MERGE_TOL * max(1.0, abs(pole)) for (pole, _), d in zip(poles, distances)]
+    distances = [abs(pole - circle.center) for pole, _, _ in clusters]
+    on_circle = [abs(d - r) < POLE_MERGE_TOL * max(1.0, abs(pole)) for (pole, _, _), d in zip(clusters, distances)]
     r_in = max((d for d in distances if d < r), default=0.0)
     r_out = min((d for d in distances if d > r), default=math.inf)
     if not any(on_circle) and 2.0 * r_in <= r and 2.0 * r <= r_out:
         return circle
-    den = rational.denominator
-    spreads = [_root_disc_radius(den, pole, mult) for pole, mult in poles]
-    for (pole, _), spread, on in zip(poles, spreads, on_circle):
+    for (pole, _, spread), on in zip(clusters, on_circle):
         if on and spread < POLE_MERGE_TOL * max(1.0, abs(pole)):
             raise PoleOnBoundaryError(f"pole {pole} lies on the moment circle {circle}")
     if any(on_circle):
@@ -699,10 +675,7 @@ def moment_circle(rational: RationalFunction, circle: CirclePath, n: int) -> Cir
         offset = abs(circle.center)
         radius = min(radius, max(1.0, offset + r) * MOMENT_SCALE_GROWTH ** (1.0 / (n - 1)) - offset)
     lo, hi = min(r, radius), max(r, radius)
-    if any(d - s <= hi and d + s >= lo for d, s in zip(distances, spreads)):
-        return circle
-    discs = [(pole, s) for (pole, _), s in zip(poles, spreads)]
-    if any(abs(a - b) <= sa + sb for i, (a, sa) in enumerate(discs) for b, sb in discs[i + 1:]):
+    if any(d - s <= hi and d + s >= lo for d, (_, _, s) in zip(distances, clusters)):
         return circle
     return CirclePath(circle.center, radius)
 
@@ -713,11 +686,18 @@ def _pole_check_radius(pole: complex, all_poles: list[complex]) -> float:
 
 
 def _verify_residues_vanish(rational: RationalFunction, poles: list[complex], n: int, neighbours: list[complex]):
+    """Check that the moments (z - a)^(j-1), j = 1..n, of a rational vanish about each pole a.
+
+    The denominator is evaluated in powers of (z - a): near a multiple pole
+    that the rational keeps its terms then do not cancel, and the node
+    values round relative to themselves.
+    """
     scale = max(1.0, rational.numerator.coefficient_scale())
     for pole in poles:
         cycle = CirclePath(pole, _pole_check_radius(pole, neighbours))
+        local = functools.partial(array_quotient, rational.numerator, rational.denominator.recentered(pole))
         # the moments (z - a)^(j-1) for j = 1..n from one node set, then the verdicts in j order
-        moments = path_integral(moment_integrand(rational, pole, n), cycle).tolist()
+        moments = path_integral(moment_integrand(local, pole, n), cycle).tolist()
         for j, moment in enumerate(moments, start=1):
             if abs(moment) / (2.0 * math.pi) > MOMENT_VERIFY_TOL * scale:
                 raise VerificationError(
@@ -737,8 +717,13 @@ def residue_correction(
 
     Every contour moment int (z - a)^{j-1} corrected dz (j = 1..n)
     vanishes around each listed pole, so corrected admits an order-n
-    single-valued antiderivative near them.  A pole of the input outside
-    the list raises PoleNotInListError.
+    single-valued antiderivative near them.
+
+    A cluster of :func:`denominator_poles` is a pole of order its count at
+    its centre, and matches the listed points within 1e-6 max(1, |a|) of
+    it: PoleNotInListError if none, VerificationError if several, or if a
+    listed point matches two clusters.  A point that matches none gets
+    zero coefficients.
 
     The numerator A - sum table[(a, j)] B/(z - a)^j is formed once over B,
     and (z - a)^m divided out of both where the order m is at most n.
@@ -749,16 +734,22 @@ def residue_correction(
     """
     if n < 1:
         raise PreconditionError("n must be at least 1")
-    found = denominator_poles(rational)
     listed = [complex(a) for a in poles]
-    for pole, _ in found:
-        if not any(abs(pole - a) < 1e-6 * max(1.0, abs(a)) for a in listed):
+    owner: dict[complex, tuple[complex, int]] = {}
+    for pole, mult, _ in denominator_poles(rational):
+        names = [a for a in listed if abs(pole - a) < 1e-6 * max(1.0, abs(a))]
+        if not names:
             raise PoleNotInListError(f"pole {pole} is not in the declared list")
+        if len(names) > 1:
+            raise VerificationError(f"the cluster at {pole!r} of multiplicity {mult} is matched by two listed poles, {names[0]!r} and {names[1]!r}")
+        if names[0] in owner:
+            raise VerificationError(f"the listed pole {names[0]!r} matches the clusters at {owner[names[0]][0]!r} and {pole!r}")
+        owner[names[0]] = (pole, mult)
 
     table: dict[tuple[complex, int], complex] = {}
     parts = []
     for a in listed:
-        pole, mult = next(((p, m) for p, m in found if abs(p - a) < 1e-6 * max(1.0, abs(a))), (a, 0))
+        pole, mult = owner.get(a, (a, 0))
         coeffs = laurent_coefficients(rational, pole, mult, n) if mult else [0j] * n
         table.update(((a, j), c) for j, c in enumerate(coeffs, start=1))
         if mult:

@@ -573,7 +573,7 @@ def moment_test(f, cycle, n: int) -> list[complex]:
     circle costs up to TRAPEZOID_MAX_NODES nodes or raises QuadratureError.
     For a rational f, ``construct.moment_circle`` first moves the circle
     within the pole-free annulus about it, as far as the n moments'
-    rounding allows, unless a pole may stand for roots on both sides (the
+    rounding allows, unless a cluster of roots may lie on both sides (the
     CLI's ``moments`` does this).
     """
     if n < 1:

@@ -97,7 +97,3 @@ class QuadratureError(NumericError):
 
 class VerificationError(NumericError):
     """A post-condition check (residue/moment verification) failed."""
-
-
-class RootFindingError(NumericError):
-    """Polynomial root finding failed or returned unusable roots."""
