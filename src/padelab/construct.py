@@ -29,6 +29,7 @@ This module turns existence arguments into checkable computations:
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
@@ -59,6 +60,7 @@ from .series import (
     _stacked,
     _synthetic_division,
     array_quotient,
+    derivative_values,
     taylor_of_rational,
     values_on,
 )
@@ -396,7 +398,7 @@ class PipelineResult:
 
 def universality_pipeline(
     target: RationalFunction,
-    smooth_target,
+    smooth_target: Polynomial,
     k_sample: CompactSample,
     centers: CompactSample,
     delta_sample: CompactSample,
@@ -409,20 +411,23 @@ def universality_pipeline(
 ) -> PipelineResult:
     """Construct a function certified to lie in both approximation sets.
 
-    Splits off the target's singular part inside the K region, fits a
-    polynomial to (target - singular part) on K jointly with the smooth
-    target (orders 0..1) on the center grid, re-attaches the singular part
-    and certifies the sum once, at type (numerator degree, denominator
-    degree); a rejection raises PerturbationDegenerateError.
+    Splits off the target's singular part mu = N/D inside the K region,
+    fits a polynomial p to (target - mu) on K jointly with (smooth target -
+    mu) and its derivative on the center grid, and certifies
+    (N + p D)/D once, at type (numerator degree, denominator degree); a
+    rejection raises PerturbationDegenerateError.  D is monic and coprime
+    to N by construction (:func:`principal_parts`), and so to N + p D: the
+    sum is formed over D and runs no gcd.  mu' on the grid comes from
+    :func:`padelab.series.derivative_values`.
 
     The fit is certified without the paper's exact-degree perturbation:
     the coefficient trim (``series.TRIM_RTOL``) already fixes its type (the
     README gives the measurement).
 
-    ``smooth_target`` must evaluate arrays of points and expose
-    ``derivative()`` (Polynomial and RationalFunction both do).
+    ``smooth_target`` is a Polynomial.
     """
     mu = principal_parts(target, (k_region_center, k_region_radius))
+    smooth_prime = smooth_target.derivative()
 
     def k_target(z):
         return target(z) - mu(z)
@@ -430,17 +435,14 @@ def universality_pipeline(
     def l_value(z):
         return smooth_target(z) - mu(z)
 
-    smooth_prime = smooth_target.derivative()
-    mu_prime = mu.derivative()
-
     def l_derivative(z):
-        return smooth_prime(z) - mu_prime(z)
+        return smooth_prime(z) - derivative_values(mu.numerator, mu.denominator, z, 1)[1]
 
     fitted, report = two_set_poly_fit(
         k_sample, k_target, centers, [l_value, l_derivative], max_degree, tol
     )
 
-    function = mu + fitted
+    function = RationalFunction(mu.numerator + fitted * mu.denominator, mu.denominator, _normalized=True)
     certificate = universality_certificate(
         function, centers, k_sample, delta_sample, target,
         function.numerator.degree, function.denominator.degree, s,
@@ -560,17 +562,17 @@ def _minus_parts(numerator: np.ndarray, den: Polynomial, parts) -> RationalFunct
 def principal_parts(rational: RationalFunction, region) -> RationalFunction:
     """Sum of principal parts at the poles inside a region.
 
-    ``region`` is a (center, radius) disc description or a CompactSample
-    of a closed curve (membership then decided by winding number).  Each
-    cluster of :func:`denominator_poles` is a pole of order m, its count,
-    at its centre a.  The result is one rational over prod (z - a)^m,
+    ``region`` is a (center, radius) disc description, with a finite
+    centre and a positive finite radius (else PreconditionError), or a
+    CompactSample of a closed curve (membership then decided by winding
+    number).  Each cluster of :func:`denominator_poles` is a pole of order
+    m, its count, at its centre a.  The result is one rational over prod (z - a)^m,
     monic and coprime by construction; a polynomial (no poles) maps to the
     zero rational.
     rational - result is formed as in :func:`residue_correction`, with each
     (z - a)^m divided out under its remainder rules (a) and (b), and its
     residue is then checked at each selected pole.
     """
-    poles = denominator_poles(rational)
     if isinstance(region, CompactSample):
         def inside(w):
             return _winding_inside(region, w)
@@ -578,11 +580,16 @@ def principal_parts(rational: RationalFunction, region) -> RationalFunction:
             return float(np.min(np.abs(region.points - w)))
     else:
         center, radius = complex(region[0]), float(region[1])
+        if not (0.0 < radius < math.inf and cmath.isfinite(center)):
+            raise PreconditionError(
+                f"region disc needs a finite centre and a positive finite radius, got centre {center!r}, radius {radius!r}"
+            )
         def inside(w):
             return abs(w - center) < radius
         def boundary_distance(w):
             return abs(abs(w - center) - radius)
 
+    poles = denominator_poles(rational)
     selected = []
     for pole, mult, _ in poles:
         dist = boundary_distance(pole)

@@ -67,7 +67,8 @@ class IndeterminateValueError(NumericError):
 
 
 class PrecisionTooCoarseError(NumericError):
-    """Dyadic rounding collapsed a denominator to zero."""
+    """Dyadic rounding collapsed a denominator to zero, or rounded a
+    coefficient past the largest double."""
 
 
 class FitFailureError(NumericError):

@@ -12,6 +12,11 @@ integration) is built on three value types:
   monic denominator.  Coprimality is enforced with a tolerant polynomial
   Euclid; a common factor is divided out only when some remainder in the
   Euclidean sequence falls below ``GCD_RTOL`` relative to the operands.
+  The gcd runs where a rational enters the library, at construction.  A
+  rational has no arithmetic: one derived from others is formed by its
+  caller over a denominator known to be monic and coprime to it
+  (``_normalized=True``), and its derivatives on points come from
+  :func:`derivative_values`.
 
 All values are immutable after construction and safe to share across
 threads.  Working precision is ordinary binary floating point (~16
@@ -451,40 +456,6 @@ class RationalFunction:
             return array_quotient(self.numerator, self.denominator, z)
         return self.numerator(z) / self.denominator(z)
 
-    def derivative(self) -> "RationalFunction":
-        """First derivative by the quotient rule.  Repeating it squares the
-        denominator and loses digits; :func:`derivative_values` gives higher
-        orders on points."""
-        num = self.numerator.derivative() * self.denominator - self.numerator * self.denominator.derivative()
-        return RationalFunction(num, self.denominator * self.denominator)
-
-    def __add__(self, other):
-        other = _coerce_rational(other, self.center)
-        num = self.numerator * other.denominator + other.numerator * self.denominator
-        den = self.denominator * other.denominator
-        return RationalFunction(num, den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.numerator, self.denominator, _normalized=True)
-
-    def __sub__(self, other):
-        return self + (-_coerce_rational(other, self.center))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return RationalFunction(self.numerator * other, self.denominator)
-        other = _coerce_rational(other, self.center)
-        return RationalFunction(self.numerator * other.numerator, self.denominator * other.denominator)
-
-    __rmul__ = __mul__
-
-    def recentered(self, new_center: complex) -> "RationalFunction":
-        return RationalFunction(
-            self.numerator.recentered(new_center), self.denominator.recentered(new_center)
-        )
-
     def taylor_at(self, center: complex, order: int) -> "PowerSeries":
         return taylor_of_rational(self, center, order)
 
@@ -497,14 +468,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self.numerator!r}, {self.denominator!r})"
-
-
-def _coerce_rational(value, center) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, Polynomial):
-        return RationalFunction(value, Polynomial([1.0], value.center), _normalized=True)
-    return RationalFunction(Polynomial([value], center), Polynomial([1.0], center), _normalized=True)
 
 
 def rational_normalize(numerator: Polynomial, denominator: Polynomial) -> RationalFunction:

@@ -19,6 +19,7 @@ the whole array of sample points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,9 +97,24 @@ def sup_chordal(f, g, sample: CompactSample) -> SupChordal:
 
 
 def dyadic_round(value: complex, bits: int) -> complex:
-    """Round real and imaginary parts to the nearest multiple of 2^-bits."""
-    scale = 2.0 ** bits
-    return complex(round(value.real * scale) / scale, round(value.imag * scale) / scale)
+    """Round real and imaginary parts to the nearest multiple of 2^-bits.
+
+    A part whose ulp is at least 2^-bits is such a multiple already and is
+    kept as is.  Any other part x rounds x 2^bits, which is below 2^53 and
+    exact, so every ``bits`` is accepted.  A part that rounds past the
+    largest double raises PrecisionTooCoarseError.
+    """
+    return complex(_dyadic_part(value.real, bits), _dyadic_part(value.imag, bits))
+
+
+def _dyadic_part(x: float, bits: int) -> float:
+    # ulp(x) = 2^(e - 1) for frexp's exponent e
+    if math.frexp(math.ulp(x))[1] - 1 >= -bits:
+        return float(x)
+    try:
+        return math.ldexp(round(math.ldexp(x, bits)), -bits)
+    except OverflowError:
+        raise PrecisionTooCoarseError(f"{float(x)!r} rounds past the largest double at 2^{-bits}") from None
 
 
 def rationalize_coefficients(rational: RationalFunction, bits: int) -> RationalFunction:
@@ -119,5 +135,5 @@ def rationalize_coefficients(rational: RationalFunction, bits: int) -> RationalF
         rational.denominator.center,
     )
     if den.is_zero:
-        raise PrecisionTooCoarseError(f"denominator rounds to zero at 2^-{bits}")
+        raise PrecisionTooCoarseError(f"denominator rounds to zero at 2^{-bits}")
     return rational_normalize(num, den)

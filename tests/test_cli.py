@@ -290,6 +290,17 @@ class TestParserReuse:
             EXIT_USAGE, EXIT_OK, EXIT_USAGE, EXIT_USAGE, EXIT_OK, EXIT_USAGE]
         assert shared == outputs(fresh=True)
 
+    def test_extreme_bits(self, tmp_path, capsys):
+        out = tmp_path / "rat.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["rationalize", "--bits", "1023", "1024", "2000", "--out", str(out)]) == EXIT_OK
+        assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [
+            [bits, "0.0"] for bits in ("1023", "1024", "2000")]
+        for bits in ("-5", "-1100", "-2000"):
+            assert run(["rationalize", "--bits", bits]) == EXIT_NUMERIC
+            assert capsys.readouterr().err == f"numeric failure: denominator rounds to zero at 2^{bits[1:]}\n"
+
     def test_default_bits_never_mutated(self, tmp_path):
         out = tmp_path / "rat.csv"
         for bits in ([], ["--bits", "4"], []):
@@ -402,6 +413,14 @@ class TestUniversalityCommand:
         # the target's pole 2 lies on the circle |z - 1| = 1
         assert run(["universality", "--k-center", "1", "--k-radius", "1"]) == EXIT_PRECONDITION
         assert capsys.readouterr().err == "precondition error: pole (2-0j) lies on the region boundary\n"
+
+    @pytest.mark.parametrize("radius", ["-0.25", "nan", "0", "inf"])
+    def test_k_radius_not_positive_and_finite_is_a_precondition_error(self, radius, capsys):
+        assert run(["universality", f"--k-radius={radius}"]) == EXIT_PRECONDITION
+        assert capsys.readouterr().err == (
+            "precondition error: region disc needs a finite centre and a positive finite radius, "
+            f"got centre (2+0j), radius {float(radius)!r}\n"
+        )
 
     def test_fit_beyond_its_rows_is_a_numeric_failure(self, capsys):
         # 12 constraint rows determine a polynomial of degree <= 11 at most

@@ -27,7 +27,7 @@ from padelab import (
     universality_pipeline,
     volterra_apply,
 )
-from padelab import construct
+from padelab import construct, series
 from padelab.errors import (
     FitFailureError,
     IndeterminateValueError,
@@ -338,10 +338,21 @@ class TestUniversalityPipeline:
         target = rational([1.0, math.pi], [-2.0, 1.0])
         result = run_pipeline(target, circle_sample(2.0, 0.25, 64), disc_grid_sample(0.0, 0.5, 9), 10)
         assert len(certificate_calls) == 1
-        expected = result.singular_part + result.fitted
-        assert result.function.numerator == expected.numerator
-        assert result.function.denominator == expected.denominator
+        mu = result.singular_part
+        assert result.function.numerator == mu.numerator + result.fitted * mu.denominator
+        assert result.function.denominator == mu.denominator
         assert result.certificate.p == result.function.numerator.degree == result.fitted.degree + 1
+
+    def test_pipeline_runs_no_gcd(self, monkeypatch):
+        # the target is normalized before the run; the sum is formed over the
+        # singular part's known denominator, and mu' by the Leibniz recurrence
+        target = rational([1.0, math.pi], [-2.0, 1.0])
+        k, grid = circle_sample(2.0, 0.25, 64), disc_grid_sample(0.0, 0.5, 9)
+        calls = []
+        normalize = series.rational_normalize
+        monkeypatch.setattr(series, "rational_normalize", lambda *args: calls.append(args) or normalize(*args))
+        run_pipeline(target, k, grid, 10)
+        assert calls == []
 
     def test_population_without_indeterminate_values(self, certificate_calls):
         outcomes = []
@@ -361,7 +372,7 @@ class TestUniversalityPipeline:
 
 class TestPrincipalParts:
     def test_two_poles_one_inside(self):
-        r = rational([1.0], [-2.0, 1.0]) + rational([1.0], [5.0, 1.0])
+        r = rational([3.0, 2.0], [-10.0, 3.0, 1.0])  # 1/(z - 2) + 1/(z + 5)
         mu = principal_parts(r, (2.0, 1.0))
         assert np.allclose(mu.numerator.coefficients, [1.0])
         assert np.allclose(mu.denominator.coefficients, [-2.0, 1.0])
@@ -380,8 +391,13 @@ class TestPrincipalParts:
         with pytest.raises(PoleOnBoundaryError, match=r"^pole \(3-0j\) lies on the region boundary$"):
             principal_parts(rational([1.0], [-3.0, 1.0]), (2.0, 1.0))
 
+    @pytest.mark.parametrize("centre, radius", [(2.0, -0.25), (2.0, math.nan), (2.0, 0.0), (2.0, math.inf), (complex(math.nan, 0), 1.0)])
+    def test_disc_needs_finite_centre_and_positive_finite_radius(self, centre, radius):
+        with pytest.raises(PreconditionError, match=rf"^region disc needs .*, radius {radius!r}$"):
+            principal_parts(rational([1.0], [-2.0, 1.0]), (centre, radius))
+
     def test_winding_number_region(self):
-        r = rational([1.0], [-2.0, 1.0]) + rational([1.0], [5.0, 1.0])
+        r = rational([3.0, 2.0], [-10.0, 3.0, 1.0])  # 1/(z - 2) + 1/(z + 5)
         loop = circle_sample(2.0, 1.0, 64)
         mu = principal_parts(r, loop)
         assert np.allclose(mu.denominator.coefficients, [-2.0, 1.0])

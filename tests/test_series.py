@@ -160,23 +160,6 @@ class TestDerivativeValues:
         assert [complex(v[1]) for v in values] == [-1, -1, -2, -6]
 
 
-class TestRationalDerivative:
-    def test_matches_first_derivative_values(self, rng):
-        for _ in range(20):
-            f = RationalFunction(Polynomial(complex_normal(rng, 6)), Polynomial(complex_normal(rng, 4)))
-            # points at distance >= 1 from the poles, where both sides keep their digits
-            poles = np.polynomial.polynomial.polyroots(f.denominator.coefficients)
-            z = 2.0 * complex_normal(rng, 40)
-            z = z[np.min(np.abs(z[:, None] - poles), axis=1) >= 1.0]
-            want = derivative_values(f.numerator, f.denominator, z, 1)[1]
-            assert np.max(np.abs(f.derivative()(z) - want) / np.abs(want)) <= 1e-13
-
-    def test_first_order_only(self):
-        # higher orders lost digits through repeated quotient rules; derivative_values gives them
-        with pytest.raises(TypeError):
-            RationalFunction(poly(1), poly(-1, 1)).derivative(2)
-
-
 class TestTaylorOfRational:
     def test_geometric_series_at_origin(self):
         r = RationalFunction(poly(1), poly(1, -1))  # 1/(1-z)

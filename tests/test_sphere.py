@@ -1,4 +1,7 @@
+import cmath
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -129,6 +132,55 @@ class TestRationalize:
         value = dyadic_round(math.pi + 1j * math.e, 12)
         assert value.real * 2**12 == round(value.real * 2**12)
         assert value.imag * 2**12 == round(value.imag * 2**12)
+
+    def test_bits_kept_wherever_the_scaled_rounding_was_defined(self):
+        # reference: round(x 2^bits) / 2^bits in double, compared wherever it is
+        # defined: 2^bits, x 2^bits and the quotient do not overflow
+        def reference(x, bits):
+            scale = 2.0**bits
+            with np.errstate(over="ignore"):
+                return round(x * scale) / scale
+
+        gen = random.Random(23)
+        parts = [gen.choice((-1, 1)) * gen.random() * 2.0 ** gen.randint(-70, 70) for _ in range(300)]
+        parts += [n / 2 for n in range(-6, 7)]
+        parts += [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, sys.float_info.max, -sys.float_info.max, 2.0**1023]
+        compared = 0
+        for bits in range(-8, 61):
+            for x in parts:
+                value = np.complex128(complex(x, parts[gen.randrange(len(parts))]))
+                try:
+                    want = complex(reference(value.real, bits), reference(value.imag, bits))
+                except OverflowError:
+                    continue
+                if cmath.isfinite(want):
+                    got = dyadic_round(value, bits)
+                    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (x, bits)
+                    compared += 1
+        assert compared > 0.95 * 69 * len(parts)
+
+    @pytest.mark.parametrize("bits", [1074, 1100, 2000])
+    def test_every_double_is_dyadic_at_2_to_minus_1074(self, bits):
+        for x in (math.pi, 5e-324, -0.0, 1e-300, sys.float_info.max):
+            assert dyadic_round(complex(x, -x), bits) == complex(x, -x)
+
+    @pytest.mark.parametrize("bits", [1023, 1024])
+    def test_finest_normal_precisions_round(self, bits):
+        for x in (1e-300, -3e-305, 5e-324, 2.0**-1000 + 2.0**-1040):
+            got = dyadic_round(complex(x, 0.0), bits).real
+            assert math.ldexp(got, bits) == round(math.ldexp(got, bits))
+            assert abs(got - x) <= 2.0 ** (-bits - 1)
+
+    @pytest.mark.parametrize("bits", [-1100, -2000])
+    def test_coarsest_precisions_round_to_zero(self, bits):
+        assert dyadic_round(complex(sys.float_info.max, -1.0), bits) == 0
+        with pytest.raises(PrecisionTooCoarseError, match=rf"^denominator rounds to zero at 2\^{-bits}$"):
+            rationalize_coefficients(self.pi_rational(), bits)
+
+    def test_rounding_past_the_largest_double_rejected(self):
+        # the nearest multiple of 2^1024 to the largest double is 2^1024
+        with pytest.raises(PrecisionTooCoarseError, match="rounds past the largest double at 2\\^1024$"):
+            dyadic_round(complex(sys.float_info.max, 0.0), -1024)
 
     def test_collapsed_denominator_rejected(self):
         # a monic denominator cannot collapse, so build an unnormalized pair
