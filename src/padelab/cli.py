@@ -366,6 +366,8 @@ def cmd_universality(args, config) -> int:
 def cmd_cascade(args, config) -> int:
     if args.grid < 10:
         raise PreconditionError("--grid must be at least 10")
+    if not 0.0 < args.eps < math.inf:
+        raise PreconditionError(f"--eps must be positive and finite, got {args.eps!r}")
     n = args.n
     series = series_builtin("exp", 0.0, args.pn_degree)
     top = partial_sum(series, args.pn_degree)

@@ -29,7 +29,6 @@ This module turns existence arguments into checkable computations:
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import sys
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import CirclePath, moment_integrand, path_integral
+from .domains import CirclePath, checked_disc, moment_integrand, path_integral
 from .errors import (
     DegeneratePadeError,
     FitFailureError,
@@ -267,6 +266,16 @@ class UniversalityCertificate:
         }
 
 
+def _check_orders(s: int, max_derivative_order: int | None):
+    """The certificate's preconditions on s and the derivative order."""
+    if s < 1:
+        raise PreconditionError(f"s must be at least 1, got {s}")
+    if max_derivative_order is not None and max_derivative_order < 0:
+        raise PreconditionError(
+            f"max_derivative_order must be non-negative, got {max_derivative_order}"
+        )
+
+
 def universality_certificate(
     f,
     centers: CompactSample,
@@ -298,12 +307,7 @@ def universality_certificate(
     first point, so the certificate is deterministic.  A center whose
     construction is degenerate records a rejecting row.
     """
-    if s < 1:
-        raise PreconditionError(f"s must be at least 1, got {s}")
-    if max_derivative_order is not None and max_derivative_order < 0:
-        raise PreconditionError(
-            f"max_derivative_order must be non-negative, got {max_derivative_order}"
-        )
+    _check_orders(s, max_derivative_order)
     if min(len(centers), len(k_sample), len(delta_sample)) == 0:
         raise InvalidSampleError("empty sample")
     ell_max = s if max_derivative_order is None else max_derivative_order
@@ -424,8 +428,10 @@ def universality_pipeline(
     the coefficient trim (``series.TRIM_RTOL``) already fixes its type (the
     README gives the measurement).
 
-    ``smooth_target`` is a Polynomial.
+    ``smooth_target`` is a Polynomial.  ``s`` and ``max_derivative_order``
+    are checked as the certificate checks them, before the fit.
     """
+    _check_orders(s, max_derivative_order)
     mu = principal_parts(target, (k_region_center, k_region_radius))
     smooth_prime = smooth_target.derivative()
 
@@ -579,11 +585,7 @@ def principal_parts(rational: RationalFunction, region) -> RationalFunction:
         def boundary_distance(w):
             return float(np.min(np.abs(region.points - w)))
     else:
-        center, radius = complex(region[0]), float(region[1])
-        if not (0.0 < radius < math.inf and cmath.isfinite(center)):
-            raise PreconditionError(
-                f"region disc needs a finite centre and a positive finite radius, got centre {center!r}, radius {radius!r}"
-            )
+        center, radius = checked_disc(region[0], region[1], "region disc")
         def inside(w):
             return abs(w - center) < radius
         def boundary_distance(w):

@@ -62,11 +62,12 @@ values.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from .errors import PathOutsideDomainError, QuadratureError
+from .errors import PathOutsideDomainError, PreconditionError, QuadratureError
 
 PROFILE_SAMPLES = 2048
 CORRIDOR_MARGIN = 0.05
@@ -78,6 +79,15 @@ TRAPEZOID_START = 64
 TRAPEZOID_MAX_NODES = 2**14
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+
+
+def checked_disc(center, radius, what: str, error=PreconditionError) -> tuple[complex, float]:
+    """``(complex(center), float(radius))`` of a disc or circle named ``what``;
+    ``error`` unless the centre is finite and the radius positive and finite."""
+    center, radius = complex(center), float(radius)
+    if not (0.0 < radius < math.inf and cmath.isfinite(center)):
+        raise error(f"{what} needs a finite centre and a positive finite radius, got centre {center!r}, radius {radius!r}")
+    return center, radius
 
 
 class PolylinePath:
@@ -116,10 +126,9 @@ class CirclePath:
     __slots__ = ("center", "radius")
 
     def __init__(self, center: complex, radius: float):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        object.__setattr__(self, "center", complex(center))
-        object.__setattr__(self, "radius", float(radius))
+        center, radius = checked_disc(center, radius, "a circle path")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("CirclePath is immutable")
@@ -220,10 +229,7 @@ class DiscDomain(DomainSpec):
     noun = "the disc"
 
     def __init__(self, center: complex, radius: float):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.center = complex(center)
-        self.radius = float(radius)
+        self.center, self.radius = checked_disc(center, radius, "a disc domain")
 
     def _inside(self, z: np.ndarray) -> np.ndarray:
         w = z - self.center

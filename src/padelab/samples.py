@@ -11,11 +11,13 @@ hook so verification steps can re-sample the same set more densely.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .domains import checked_disc
 from .errors import InvalidSampleError
 
 
@@ -34,6 +36,8 @@ class CompactSample:
         pts = np.asarray(self.points, dtype=complex).ravel()
         if pts.size == 0:
             raise InvalidSampleError("compact sample must be non-empty")
+        if not np.isfinite(pts).all():
+            raise InvalidSampleError("compact sample points must be finite")
         if not self.mesh > 0:
             raise InvalidSampleError("mesh must be positive")
         object.__setattr__(self, "points", pts)
@@ -66,9 +70,9 @@ class CompactSample:
 
 def circle_sample(center: complex, radius: float, count: int, label: str | None = None) -> CompactSample:
     """``count`` equispaced points of the circle |z - center| = radius."""
-    if count < 1 or radius <= 0:
-        raise InvalidSampleError("need count >= 1 and radius > 0")
-    center = complex(center)
+    center, radius = checked_disc(center, radius, "a circle sample", InvalidSampleError)
+    if count < 1:
+        raise InvalidSampleError("need count >= 1")
     theta = 2.0 * np.pi * np.arange(count) / count
     pts = center + radius * np.exp(1j * theta)
     mesh = 2.0 * radius * np.sin(np.pi / count) if count > 1 else 2.0 * radius
@@ -82,9 +86,9 @@ def disc_grid_sample(center: complex, radius: float, side: int, label: str | Non
     Corners of the grid touch the bounding circle, so the sample lies in
     the closed disc; the mesh is the grid spacing.
     """
-    if side < 1 or radius <= 0:
-        raise InvalidSampleError("need side >= 1 and radius > 0")
-    center = complex(center)
+    center, radius = checked_disc(center, radius, "a disc grid", InvalidSampleError)
+    if side < 1:
+        raise InvalidSampleError("need side >= 1")
     half = radius / np.sqrt(2.0)
     u = np.linspace(-half, half, side) if side > 1 else np.array([0.0])
     xx, yy = np.meshgrid(u, u)
@@ -102,6 +106,8 @@ def segment_sample(a: complex, b: complex, count: int, label: str | None = None)
     if count < 2:
         raise InvalidSampleError("need count >= 2 for a segment")
     a, b = complex(a), complex(b)
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise InvalidSampleError(f"segment endpoints must be finite, got {a!r} and {b!r}")
     t = np.linspace(0.0, 1.0, count)
     pts = a + t * (b - a)
     mesh = abs(b - a) / (count - 1)

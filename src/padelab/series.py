@@ -4,7 +4,8 @@ Everything downstream (Pade construction, chordal approximation, path
 integration) is built on three value types:
 
 * :class:`Polynomial` -- complex coefficients in powers of ``(z - center)``;
-  trailing coefficients below a scale-relative floor are trimmed, and the
+  trailing coefficients below a scale-relative floor are trimmed, in one
+  pass over the moduli that also stands in for the finite check, and the
   zero polynomial reports the sentinel degree ``-1``.
 * :class:`PowerSeries` -- truncated Taylor coefficients ``a_0..a_N`` at a
   center; the truncation order is ``len(coefficients) - 1``.
@@ -38,6 +39,10 @@ one length) at P points give ``(C, P)`` values, each row with the bits of
 its own evaluation.  The universality certificate evaluates the Pade
 approximants of all its centres this way, in one pass.
 
+The Taylor shift (:func:`_synthetic_division`) and the Taylor recurrence
+loop over lists of Python ``complex`` values, which round as NumPy's complex
+scalars do: the bits are those of the array loops, at less cost per step.
+
 A point of the extended plane is a ``complex``, and one with any non-finite
 part (``inf`` or ``nan``) is the point at infinity: the one-infinity model of
 C99 Annex G, with a NaN part counted as infinite too.
@@ -67,42 +72,24 @@ GCD_RTOL = 1e-10
 POLE_RTOL = 1e-12
 
 
-def _as_coeff_array(coefficients) -> np.ndarray:
-    arr = np.asarray(coefficients, dtype=complex)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.size == 0:
-        arr = np.zeros(1, dtype=complex)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("coefficients must be finite")
-    return arr
-
-
-def _trimmed_lengths(arr: np.ndarray) -> np.ndarray:
+def _trimmed_lengths(coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Length of each coefficient row (the last axis) once the trailing
-    coefficients with ``|c| <= TRIM_RTOL * max |c|`` of the row are dropped;
-    0 for a zero row."""
-    mags = np.abs(arr)
-    scale = mags.max(-1, keepdims=True)
-    lengths = arr.shape[-1] - (mags > TRIM_RTOL * scale)[..., ::-1].argmax(-1)
-    return lengths * (scale[..., 0] > 0)
-
-
-def _trimmed(arr: np.ndarray) -> np.ndarray:
-    n = int(_trimmed_lengths(arr))
-    if n == 0:
-        return np.zeros(1, dtype=complex)
-    return arr[:n].copy()
+    coefficients with ``|c| <= TRIM_RTOL * max |c|`` of the row are dropped,
+    0 for a zero row; and that ``max |c|`` of each row."""
+    mags = np.abs(coefficients)
+    scale = mags.max(-1)
+    kept = mags > TRIM_RTOL * scale[..., None]
+    return (coefficients.shape[-1] - kept[..., ::-1].argmax(-1)) * (scale > 0), scale
 
 
 def _trimmed_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row trimmed as :func:`_trimmed` trims a polynomial's
+    """Each row trimmed as the ``Polynomial`` constructor trims its
     coefficients, and zero-padded back to the common length.
 
     Horner evaluation of a zero-padded row gives the bits of the trimmed
     row: a leading zero coefficient leaves the accumulator at ``+0``.
     """
-    return np.where(np.arange(rows.shape[-1]) < _trimmed_lengths(rows)[..., None], rows, 0)
+    return np.where(np.arange(rows.shape[-1]) < _trimmed_lengths(rows)[0][..., None], rows, 0)
 
 
 def _differentiated(coefficients: np.ndarray, order: int) -> np.ndarray:
@@ -220,7 +207,7 @@ def _derivative_values(numerator, denominator, center, z, order: int) -> list[np
         return _horner(_trimmed_rows(_differentiated(coefficients, k)), center, z)
 
     num_derivs = [derivative_at_points(numerator, k) for k in range(order + 1)]
-    degree = _trimmed_lengths(denominator) - 1
+    degree = _trimmed_lengths(denominator)[0] - 1
     # D^(k) vanishes for k > deg D, so those terms are left out of the sum, row
     # by row: where a row's values are infinite, 0 * inf would add NaN
     top = min(order, max(int(np.max(degree)), 0))
@@ -242,7 +229,12 @@ class Polynomial:
     __slots__ = ("coefficients", "center")
 
     def __init__(self, coefficients, center: complex = 0.0):
-        object.__setattr__(self, "coefficients", _trimmed(_as_coeff_array(coefficients)))
+        coefficients = np.array(coefficients, dtype=complex, ndmin=1)
+        length, scale = _trimmed_lengths(coefficients) if coefficients.size else (0, 0.0)
+        # |c| overflows for some finite c, so an infinite max only calls for the full check
+        if not scale < math.inf and not np.isfinite(coefficients).all():
+            raise ValueError("coefficients must be finite")
+        object.__setattr__(self, "coefficients", coefficients[:length] if length else np.zeros(1, dtype=complex))
         object.__setattr__(self, "center", complex(center))
         self.coefficients.setflags(write=False)
 
@@ -261,11 +253,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return len(self.coefficients) == 1 and self.coefficients[0] == 0
-
-    def coefficient(self, k: int) -> complex:
-        if 0 <= k < len(self.coefficients):
-            return complex(self.coefficients[k])
-        return 0j
 
     @property
     def leading_coefficient(self) -> complex:
@@ -382,15 +369,15 @@ class Polynomial:
 def _synthetic_division(coefficients: np.ndarray, a: complex, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Divide ``sum c_i w^i`` by ``(w - a)`` k times: the quotient, and the k
     remainders, the Taylor coefficients of orders 0..k-1 at ``w = a`` (0 once
-    the quotient is used up)."""
-    work = np.array(coefficients, dtype=complex)
-    remainders = np.zeros(k, dtype=complex)
+    the quotient is used up).  The loop runs on Python ``complex`` values,
+    which round as NumPy's complex scalars do."""
+    work, a = np.asarray(coefficients, dtype=complex).tolist(), complex(a)
+    remainders = [0j] * k
     for r in range(min(k, len(work))):
         for i in range(len(work) - 2, -1, -1):
-            work[i] = work[i] + a * work[i + 1]
-        remainders[r] = work[0]
-        work = work[1:]
-    return work, remainders
+            work[i] += a * work[i + 1]
+        remainders[r] = work.pop(0)
+    return np.array(work, dtype=complex), np.array(remainders, dtype=complex)
 
 
 def polynomial_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -495,8 +482,10 @@ class PowerSeries:
     __slots__ = ("center", "coefficients")
 
     def __init__(self, coefficients, center: complex = 0.0):
-        arr = _as_coeff_array(coefficients)
-        object.__setattr__(self, "coefficients", arr.copy())
+        coefficients = np.array(coefficients, dtype=complex, ndmin=1)
+        if not np.isfinite(coefficients).all():
+            raise ValueError("coefficients must be finite")
+        object.__setattr__(self, "coefficients", coefficients if coefficients.size else np.zeros(1, dtype=complex))
         object.__setattr__(self, "center", complex(center))
         self.coefficients.setflags(write=False)
 
@@ -548,18 +537,18 @@ def taylor_of_rational(rational: RationalFunction, center: complex, order: int) 
     denominator nearly vanishes at the center.
     """
     center = complex(center)
-    num = rational.numerator.recentered(center)
+    num = rational.numerator.recentered(center).coefficients.tolist() + [0j] * order
     den = rational.denominator.recentered(center)
-    b0 = den.coefficient(0)
-    if abs(b0) <= POLE_RTOL * den.coefficient_scale():
+    b = den.coefficients.tolist()
+    if abs(b[0]) <= POLE_RTOL * den.coefficient_scale():
         raise PoleAtCenterError(f"denominator vanishes at center {center}")
+    # a stays an array: a term of it makes acc NumPy's, whose division differs from Python's (a_0's) in the last bit
     a = np.zeros(order + 1, dtype=complex)
     for n in range(order + 1):
-        acc = num.coefficient(n)
-        upper = min(n, den.degree)
-        for m in range(1, upper + 1):
-            acc -= den.coefficient(m) * a[n - m]
-        a[n] = acc / b0
+        acc = num[n]
+        for m in range(1, min(n, len(b) - 1) + 1):
+            acc -= b[m] * a[n - m]
+        a[n] = acc / b[0]
     return PowerSeries(a, center)
 
 
@@ -572,6 +561,8 @@ def series_builtin(name: str, center: complex = 0.0, order: int = 10) -> PowerSe
     if order < 0:
         raise PreconditionError(f"series order must be non-negative, got {order}")
     center = complex(center)
+    if not cmath.isfinite(center):
+        raise PreconditionError(f"series centre must be finite, got {center!r}")
     n = np.arange(order + 1)
     if name == "exp":
         coeffs = np.full(order + 1, cmath.exp(center), dtype=complex)

@@ -16,6 +16,12 @@ def complex_normal(rng, n):
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
 
 
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def divide_series_ext(num, den, order):
     """Oracle: Taylor coefficients of num/den by the convolution recurrence.
 

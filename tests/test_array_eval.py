@@ -52,13 +52,7 @@ from padelab.pade import (
 )
 from padelab.series import _derivative_values, _horner, _stacked
 
-from conftest import complex_normal
-
-
-def assert_same_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+from conftest import assert_same_bits, complex_normal
 
 
 def random_coefficients(rng, degree):

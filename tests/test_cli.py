@@ -231,6 +231,42 @@ class TestNoTraceback:
         assert json.loads(capsys.readouterr().out) == {"chordal": 0.0}
 
 
+class TestNonFiniteInputs:
+    # each is a precondition error before any arithmetic, so no RuntimeWarning
+    @pytest.mark.parametrize("argv, message", [
+        ("rationalize --sample circle:nan,0,1,10",
+         "a circle sample needs a finite centre and a positive finite radius, got centre (nan+0j), radius 1.0"),
+        ("rationalize --sample circle:0,0,inf,10",
+         "a circle sample needs a finite centre and a positive finite radius, got centre 0j, radius inf"),
+        ("rationalize --sample disc-grid:0,inf,1,3",
+         "a disc grid needs a finite centre and a positive finite radius, got centre infj, radius 1.0"),
+        ("rationalize --sample segment:0,0,inf,0,5", "segment endpoints must be finite, got 0j and (inf+0j)"),
+        ("--config c.json rationalize --sample config:nan-point", "compact sample points must be finite"),
+        ("moments --f one-over-z --cycle circle:0,0,inf",
+         "a circle path needs a finite centre and a positive finite radius, got centre 0j, radius inf"),
+        ("moments --f one-over-z --cycle circle:0,0,nan",
+         "a circle path needs a finite centre and a positive finite radius, got centre 0j, radius nan"),
+        ("moments --f one-over-z --cycle circle:nan,0,1",
+         "a circle path needs a finite centre and a positive finite radius, got centre (nan+0j), radius 1.0"),
+        ("cascade --domain disc:0,0,inf",
+         "a disc domain needs a finite centre and a positive finite radius, got centre 0j, radius inf"),
+        ("pade --builtin exp --p 1 --q 1 --center inf", "series centre must be finite, got (inf+0j)"),
+        ("pade --builtin log1m --p 1 --q 1 --center inf", "series centre must be finite, got (inf+0j)"),
+        ("pade --builtin geometric --p 1 --q 1 --center inf", "series centre must be finite, got (inf+0j)"),
+        ("pade --builtin geometric --p 1 --q 1 --center nan", "series centre must be finite, got (nan+0j)"),
+        ("cascade --eps 0", "--eps must be positive and finite, got 0.0"),
+        ("cascade --eps=-1", "--eps must be positive and finite, got -1.0"),
+        ("cascade --eps nan", "--eps must be positive and finite, got nan"),
+        ("cascade --eps inf", "--eps must be positive and finite, got inf"),
+    ])
+    def test_precondition_error(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        points = [[0.0, 0.0], [math.nan, 0.0], [1.0, 0.0]]
+        (tmp_path / "c.json").write_text(json.dumps({"samples": {"nan-point": {"label": "p", "mesh": 1.0, "points": points}}}))
+        assert run(argv.split()) == EXIT_PRECONDITION
+        assert capsys.readouterr().err == f"precondition error: {message}\n"
+
+
 class TestExpBeyondFloatFactorials:
     # float(k!) overflows from k = 171 on
     def test_volterra_order_171(self, tmp_path):
@@ -421,6 +457,15 @@ class TestUniversalityCommand:
             "precondition error: region disc needs a finite centre and a positive finite radius, "
             f"got centre (2+0j), radius {float(radius)!r}\n"
         )
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--s", "0", "--tol", "1e-12"], "s must be at least 1, got 0"),
+        (["--s", "-3", "--max-degree", "5"], "s must be at least 1, got -3"),
+        (["--ell-max", "-1", "--tol", "1e-12"], "max_derivative_order must be non-negative, got -1"),
+    ])
+    def test_bad_orders_are_precondition_errors_before_the_fit(self, argv, message, capsys):
+        assert run(["universality"] + argv) == EXIT_PRECONDITION
+        assert capsys.readouterr().err == f"precondition error: {message}\n"
 
     def test_fit_beyond_its_rows_is_a_numeric_failure(self, capsys):
         # 12 constraint rows determine a polynomial of degree <= 11 at most

@@ -274,6 +274,19 @@ class TestUniversalityCertificate:
                 phi, grid, circle_sample(3.0, 0.5, 16), grid, phi, 1, 1, 10, max_derivative_order=order
             )
 
+    @pytest.mark.parametrize("s, order", [(0, 3), (-3, 3), (10, -1)])
+    def test_pipeline_checks_orders_before_the_fit(self, s, order, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(construct, "two_set_poly_fit", no_fit)
+        grid = disc_grid_sample(0.0, 0.5, 3)
+        with pytest.raises(PreconditionError, match=f"^(s must be at least 1, got {s}|max_derivative_order must be non-negative, got {order})$"):
+            universality_pipeline(
+                rational([1.0], [-2.0, 1.0]), Polynomial([0, 0, 1.0]), circle_sample(2.0, 0.25, 16),
+                grid, grid, 2.0, 0.25, s, max_derivative_order=order,
+            )
+
 
 def universality_population(seed, count):
     """Seeded pipeline runs around a pole near 2: (target, K, centre grid, s).

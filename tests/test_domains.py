@@ -8,6 +8,7 @@ import pytest
 
 from padelab import (
     CirclePath,
+    CompactSample,
     CorridorDomain,
     DiscDomain,
     DomainSpec,
@@ -17,10 +18,13 @@ from padelab import (
     StarlikeDomain,
     antiderivative_at,
     bounded_path,
+    circle_sample,
     construct,
+    disc_grid_sample,
     moment_circle,
     moment_test,
     path_integral,
+    segment_sample,
     starlike_antiderivative,
 )
 from padelab.domains import (
@@ -32,7 +36,13 @@ from padelab.domains import (
     _panel_estimates,
     adaptive_gauss_legendre,
 )
-from padelab.errors import PathOutsideDomainError, PoleOnBoundaryError, QuadratureError
+from padelab.errors import (
+    InvalidSampleError,
+    PathOutsideDomainError,
+    PoleOnBoundaryError,
+    PreconditionError,
+    QuadratureError,
+)
 
 from conftest import complex_normal
 
@@ -70,6 +80,34 @@ class TestContainment:
         assert star.profile[0] == 1.0 and corridor.profile[0] == 1.0
         assert star.diameter == diameter
         assert not star.profile.flags.writeable
+
+
+BAD_DISCS = [(math.nan, 1.0), (math.inf, 1.0), (complex(0.0, -math.inf), 1.0),
+             (0.0, math.inf), (0.0, math.nan), (0.0, 0.0), (0.0, -1.0)]
+
+
+class TestNonFiniteGeometry:
+    # a precondition error before any arithmetic, so no RuntimeWarning either
+    @pytest.mark.parametrize("center, radius", BAD_DISCS)
+    @pytest.mark.parametrize("make, what, error", [
+        (CirclePath, "a circle path", PreconditionError),
+        (DiscDomain, "a disc domain", PreconditionError),
+        (lambda c, r: circle_sample(c, r, 10), "a circle sample", InvalidSampleError),
+        (lambda c, r: disc_grid_sample(c, r, 3), "a disc grid", InvalidSampleError),
+    ])
+    def test_disc_needs_a_finite_centre_and_radius(self, make, what, error, center, radius):
+        with pytest.raises(error, match=f"^{what} needs a finite centre and a positive finite radius, got centre "):
+            make(center, radius)
+
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (complex(math.nan, 0.0), 1.0), (0.0, complex(1.0, -math.inf))])
+    def test_segment_needs_finite_endpoints(self, a, b):
+        with pytest.raises(InvalidSampleError, match="^segment endpoints must be finite, got "):
+            segment_sample(a, b, 5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_sample_points_must_be_finite(self, bad):
+        with pytest.raises(InvalidSampleError, match="^compact sample points must be finite$"):
+            CompactSample(np.array([0.0, bad, 1.0]), "points", 0.5)
 
 
 class TestBoundedPath:

@@ -22,9 +22,9 @@ from padelab.errors import (
     PreconditionError,
     SingularCenterError,
 )
-from padelab.series import polynomial_divmod
+from padelab.series import TRIM_RTOL, _synthetic_division, polynomial_divmod
 
-from conftest import complex_normal
+from conftest import assert_same_bits, complex_normal
 
 
 def poly(*coeffs):
@@ -244,6 +244,12 @@ class TestSeriesBuiltin:
         with pytest.raises(SingularCenterError):
             series_builtin("log1m", 1.0, 3)
 
+    @pytest.mark.parametrize("center", [math.inf, complex(math.nan, 0.0), complex(0.0, -math.inf), complex(1.0, math.nan)])
+    @pytest.mark.parametrize("name", ["exp", "log1m", "geometric"])
+    def test_non_finite_center_rejected(self, name, center):
+        with pytest.raises(PreconditionError, match="^series centre must be finite, got "):
+            series_builtin(name, center, 4)
+
     @pytest.mark.parametrize("name", ["exp", "log1m", "geometric"])
     def test_negative_order_rejected(self, name):
         with pytest.raises(PreconditionError, match="^series order must be non-negative, got -3$"):
@@ -268,6 +274,145 @@ class TestCoefficientArrays:
         for arr in (coeffs, coeffs[::-1]):
             with pytest.raises(ValueError, match="^coefficients must be finite$"):
                 kind(arr)
+
+
+# Reference kernels: the separate finite check and trim, and the loops on NumPy
+# arrays, that the one-pass constructor and the list loops replace.  The tests
+# below hold the library to their bits.
+
+
+def reference_coefficients(coefficients):
+    """The constructor's finite check and trim, as separate passes."""
+    arr = np.asarray(coefficients, dtype=complex)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    if arr.size == 0:
+        arr = np.zeros(1, dtype=complex)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("coefficients must be finite")
+    mags = np.abs(arr)
+    scale = mags.max(-1, keepdims=True)
+    n = int((arr.shape[-1] - (mags > TRIM_RTOL * scale)[..., ::-1].argmax(-1)) * (scale[..., 0] > 0))
+    return arr[:n].copy() if n else np.zeros(1, dtype=complex)
+
+
+def reference_synthetic_division(coefficients, a, k):
+    work = np.array(coefficients, dtype=complex)
+    remainders = np.zeros(k, dtype=complex)
+    for r in range(min(k, len(work))):
+        for i in range(len(work) - 2, -1, -1):
+            work[i] = work[i] + a * work[i + 1]
+        remainders[r] = work[0]
+        work = work[1:]
+    return work, remainders
+
+
+def reference_taylor(rational, center, order):
+    """The recurrence reading each coefficient through a method call, after
+    the reference Taylor shift and trim."""
+
+    def recentered(p):
+        if center == p.center:
+            return p.coefficients
+        shifted = reference_synthetic_division(p.coefficients, center - p.center, len(p.coefficients))[1]
+        return reference_coefficients(shifted)
+
+    def coefficient(coefficients, k):
+        return complex(coefficients[k]) if 0 <= k < len(coefficients) else 0j
+
+    num, den = recentered(rational.numerator), recentered(rational.denominator)
+    den_degree = len(den) - 1 if np.any(den != 0) else -1
+    b0 = coefficient(den, 0)
+    a = np.zeros(order + 1, dtype=complex)
+    for n in range(order + 1):
+        acc = coefficient(num, n)
+        for m in range(1, min(n, den_degree) + 1):
+            acc -= coefficient(den, m) * a[n - m]
+        a[n] = acc / b0
+    return a
+
+
+def random_coefficient_array(rng, length):
+    """Coefficients of mixed scales, with exact and negative zeros, the least
+    subnormal, overflowing moduli and a trailing entry near the trim floor."""
+    c = complex_normal(rng, length) * 10.0 ** rng.uniform(-6, 6, length)
+    for i, (pick, coin) in enumerate(rng.integers(12, size=(length, 2)).tolist()):
+        if pick == 0:
+            c[i] = 0.0
+        elif pick == 1:
+            c[i] = complex(-0.0, c[i].imag) if coin % 2 else complex(c[i].real, -0.0)
+        elif pick == 2:
+            c[i] = complex(5e-324, 0.0) if coin % 2 else complex(-0.0, 5e-324)
+        elif pick == 3 and coin < 3:
+            c[i] = complex(1.5e308, -1.5e308) if coin % 2 else complex(-1.5e308, 1.5e308)
+    scale = float(np.abs(c[:-1]).max()) if length > 1 else math.inf
+    if scale < math.inf and rng.integers(2):
+        # a last entry within a few ulps of TRIM_RTOL times the largest modulus
+        tail = TRIM_RTOL * scale * (1.0 + int(rng.integers(-3, 4)) * 2.0**-52)
+        c[-1] = complex(tail, 0.0) if rng.integers(2) else complex(0.0, -tail)
+    return c
+
+
+class TestKernelsKeepTheirBits:
+    def test_constructor_trims_as_the_separate_passes(self):
+        rng = np.random.default_rng(24)
+        for case in range(20000):
+            length = int(rng.integers(0, 13))
+            c = random_coefficient_array(rng, length)
+            if case % 50 == 0 and length:
+                bad = rng.choice([math.inf, -math.inf, math.nan])
+                c[rng.integers(length)] = complex(bad, 0.0) if rng.integers(2) else complex(0.0, bad)
+            inputs = [c, c.tolist()]
+            if length == 1:
+                inputs.append(c[0])  # a 0-d input
+            for arr in inputs:
+                try:
+                    want = reference_coefficients(arr)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=f"^{exc}$"):
+                        Polynomial(arr)
+                    continue
+                assert_same_bits(Polynomial(arr).coefficients, want)
+
+    @pytest.mark.parametrize("coefficients, kept", [
+        ([], [0j]),
+        (np.complex128(0.0), [0j]),
+        ([1.5e308 + 1.5e308j, 1e-300, 0.0], [1.5e308 + 1.5e308j, 1e-300, 0.0]),
+        ([1.0, 1e-13, 0.0], [1.0]),
+        ([-0.0, 0.0], [0j]),
+    ])
+    def test_constructor_edge_cases(self, coefficients, kept):
+        assert_same_bits(Polynomial(coefficients).coefficients, reference_coefficients(coefficients))
+        assert Polynomial(coefficients).coefficients.tolist() == kept
+
+    def test_synthetic_division_on_lists_keeps_the_bits(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(2000):
+            degree = int(rng.integers(1, 40))
+            c = complex_normal(rng, degree + 1) * 10.0 ** rng.uniform(-3, 3, degree + 1)
+            shift = complex(complex_normal(rng, 1)[0]) * 10.0 ** rng.uniform(-3, 1)
+            k = int(rng.integers(1, degree + 3))
+            # the complex shift of a Taylor expansion, and the real one of the Pellet bound
+            for arr, a in ((c, shift), (np.abs(c), abs(shift))):
+                got, want = _synthetic_division(arr, a, k), reference_synthetic_division(arr, a, k)
+                assert_same_bits(got[0], want[0])
+                assert_same_bits(got[1], want[1])
+
+    def test_taylor_recurrence_on_lists_keeps_the_bits(self):
+        rng = np.random.default_rng(7)
+        for case in range(1000):
+            old_center = complex(complex_normal(rng, 1)[0]) * 0.5
+            num = Polynomial(complex_normal(rng, int(rng.integers(1, 12))), old_center)
+            # every fourth denominator is a constant: its recurrence divides only by Python's complex division
+            den_length = 1 if case % 4 == 0 else int(rng.integers(2, 8))
+            den = Polynomial(complex_normal(rng, den_length), old_center)
+            rational = RationalFunction(num, den, _normalized=True)
+            center = old_center if case % 10 == 0 else complex(complex_normal(rng, 1)[0]) * 0.3
+            order = int(rng.integers(0, 21))
+            if abs(den(center)) < 1e-6 * den.coefficient_scale():
+                continue
+            assert_same_bits(taylor_of_rational(rational, center, order).coefficients,
+                             reference_taylor(rational, center, order))
 
 
 class TestSerialization:
