@@ -4,9 +4,9 @@ This module turns existence arguments into checkable computations:
 
 * :func:`two_set_poly_fit` -- a verified least-squares stand-in for the
   classical existence of a polynomial close to prescribed values on one
-  compact set and prescribed derivative values on another.  Success is
-  gated by re-verification on refined samples; infeasibility is reported
-  with the best residual instead of being papered over.
+  compact set and prescribed derivative values on another, in one
+  orthonormal Arnoldi basis on those rows.  Success is gated by refined
+  samples; infeasibility is reported with the best residual.
 * :func:`universality_certificate` -- builds the Pade approximant at every
   sampled center, then measures all of them in one pass over
   (center, point) arrays: the normality witnesses, common-zero margins,
@@ -83,34 +83,40 @@ class FitReport:
     verified_residual: float
 
 
-def _derivative_rows(points: np.ndarray, degree: int, order: int, shift: complex, scale: float) -> np.ndarray:
-    """Rows of d^order/dz^order of the shifted-scaled monomial basis."""
-    m = np.zeros((len(points), degree + 1), dtype=complex)
-    w = (points - shift) / scale
-    for j in range(order, degree + 1):
-        m[:, j] = math.perm(j, order) * w ** (j - order) / scale**order
-    return m
+def _confluent_arnoldi(z: np.ndarray, orders: np.ndarray, stride: int, count: int):
+    """Orthonormal columns on constraint rows, each with its polynomial in powers of z.
 
-
-def _householder_r(a: np.ndarray) -> np.ndarray:
-    """R of the QR of all but the last column of ``a``, with Q^H times that
-    column appended.  Reflection j changes rows and columns >= j only.
-
-    NumPy arithmetic, not LAPACK: at the fit's width OpenBLAS threads
-    LAPACK's QR, which doubled the fit's CPU time on 2 vCPUs and made its
-    last bits depend on the thread count.
+    Row i holds a derivative of order ``orders[i]`` at ``z[i]``; a row of
+    order l >= 1 sits ``stride`` rows below its point's row of order l - 1,
+    and multiplying by z maps a polynomial's rows by (z p)^(l) = z p^(l) +
+    l p^(l-1).  Arnoldi on that map starts from the constant polynomial and
+    orthogonalizes by classical Gram-Schmidt run twice, in ``np.einsum``
+    sums: OpenBLAS threading doubled the fit's CPU time on 2 vCPUs and made
+    its bits depend on the thread count.  Yields up to ``count`` pairs (q_k,
+    q_k's coefficients by the same recurrence), and stops where h_(k+1,k)
+    is rounding against its column of h: the rows hold no new direction.
     """
-    r = a.astype(complex)
-    for j in range(a.shape[1] - 1):
-        x = r[j:, j]
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            continue
-        v = x.copy()
-        v[0] += norm * (x[0] / abs(x[0]) if x[0] != 0 else 1.0)
-        v *= math.sqrt(2.0) / np.linalg.norm(v)
-        r[j:, j:] -= np.multiply.outer(v, np.einsum("i,ij->j", v.conj(), r[j:, j:]))
-    return r
+    derived = np.flatnonzero(orders)
+    q = np.zeros((count, len(z)), dtype=complex)
+    basis = np.zeros((count, count), dtype=complex)
+    start = math.sqrt(np.count_nonzero(orders == 0))
+    q[0, orders == 0], basis[0, 0] = 1.0 / start, 1.0 / start
+    for k in range(count):
+        if k:
+            v = z * q[k - 1]
+            v[derived] += orders[derived] * q[k - 1, derived - stride]
+            h = np.zeros(k, dtype=complex)
+            for _ in range(2):
+                step = np.einsum("ji,i->j", q[:k].conj(), v)
+                v -= np.einsum("j,ji->i", step, q[:k])
+                h += step
+            height = np.linalg.norm(v)
+            if height <= len(z) * sys.float_info.epsilon * math.hypot(height, np.linalg.norm(h)):
+                return
+            q[k] = v / height
+            basis[k, 1:] = basis[k - 1, :-1]
+            basis[k] = (basis[k] - np.einsum("j,ji->i", h, basis[:k])) / height
+        yield q[k], basis[k]
 
 
 def two_set_poly_fit(
@@ -136,14 +142,14 @@ def two_set_poly_fit(
     Returns (polynomial, report); raises FitFailureError with the best
     achieved residual when no degree within the cap verifies.
 
-    The linear system is a Vandermonde with derivative rows in a
-    shifted/scaled monomial basis.  It is assembled and column-scaled once,
-    at the cap's width, and factored by one QR: column j does not depend on
-    the degree, so degree d solves with the leading (d+1) x (d+1) block of
-    R and the first d+1 entries of Q^H b.  For targets needing frequencies
-    far beyond the cap (for example a target with a pole very close to one
-    sample set), the reported residual is the honest least-squares optimum,
-    and the fit fails.
+    The basis is Vandermonde with Arnoldi (Brubeck, Nakatsukasa & Trefethen,
+    SIAM Review 63, 2021), confluent on the derivative rows: its columns are
+    orthonormal on exactly the rows the problem weighs, so degree d adds one
+    coefficient, q_d^H b, and one residual subtraction to degree d - 1's.
+    Only a degree whose residual meets tol becomes a Polynomial, judged by
+    its own residual on the rows and the refined samples.  Targets needing
+    frequencies far beyond the cap (a pole very close to one sample set)
+    report the honest least-squares optimum and fail.
     """
     if k_sample is None and (l_sample is None or not l_targets):
         raise PreconditionError("at least one constraint set is required")
@@ -153,39 +159,30 @@ def two_set_poly_fit(
         raise PreconditionError(f"tol must be non-negative, got {tol}")
     k_points = k_sample.points if k_sample is not None else np.zeros(0, dtype=complex)
     l_points = l_sample.points if l_sample is not None else np.zeros(0, dtype=complex)
-    all_points = np.concatenate([k_points, l_points])
-    shift = complex(all_points.mean())
-    scale = max(1.0, float(np.abs(all_points - shift).max()))
 
     l_orders = list(l_targets) if l_sample is not None else []
     # (points, derivative order, target values) of each block of rows
     blocks = [(k_points, 0, values_on(k_target, k_points))] if k_sample is not None else []
     blocks += [(l_points, order, values_on(target, l_points)) for order, target in enumerate(l_orders)]
-    cap = min(max_degree, sum(len(points) for points, _, _ in blocks) - 1)
-    a = np.vstack([_derivative_rows(points, cap, order, shift, scale) for points, order, _ in blocks])
-    b = np.concatenate([values for _, _, values in blocks])
-    col_norms = np.linalg.norm(a, axis=0)
-    col_norms[col_norms == 0] = 1.0
-    a /= col_norms
-    r = _householder_r(np.column_stack([a, b]))
-    qb = r[:, -1]
-    diag = np.abs(np.diag(r))
+    z = np.concatenate([points for points, _, _ in blocks])
+    orders = np.concatenate([np.full(len(points), order) for points, order, _ in blocks])
+    residual = np.concatenate([values for _, _, values in blocks])  # b, the residual of no basis column
+    cap = min(max_degree, len(z) - 1)
+    fitted = np.zeros(cap + 1, dtype=complex)
     best_res, best_deg = math.inf, -1
-    for degree in range(cap + 1):
-        n = degree + 1
-        if diag[:n].min() <= 1e-14 * max(1.0, diag[:n].max()):
-            coeffs_scaled, *_ = np.linalg.lstsq(a[:, :n], b, rcond=None)
-        else:
-            coeffs_scaled = np.linalg.solve(r[:n, :n], qb[:n])
-        coeffs_basis = coeffs_scaled / col_norms[:n]
-        # from basis ((z - shift)/scale)^j back to a polynomial in z
-        poly = Polynomial(coeffs_basis / scale ** np.arange(n), shift).recentered(0.0)
-        res = max(_max_error(poly.derivative(order), points, values) for points, order, values in blocks)
+    for degree, (column, polynomial) in enumerate(_confluent_arnoldi(z, orders, len(l_points), cap + 1)):
+        coefficient = np.einsum("i,i->", column.conj(), residual)
+        residual -= coefficient * column
+        fitted += coefficient * polynomial
+        res = float(np.max(modulus(residual)))
         if res <= tol:
-            verified = _verify_on_refined(poly, k_sample, k_target, l_sample, l_orders, res)
-            if verified <= tol:
-                return poly, FitReport(degree, res, verified)
-            res = verified
+            poly = Polynomial(fitted)
+            res = max(_max_error(poly.derivative(order), points, values) for points, order, values in blocks)
+            if res <= tol:
+                verified = _verify_on_refined(poly, k_sample, k_target, l_sample, l_orders, res)
+                if verified <= tol:
+                    return poly, FitReport(degree, res, verified)
+                res = verified
         if res < best_res:
             best_res, best_deg = res, degree
     limit = f"{cap}" if cap == max_degree else f"{cap} (the most that {cap + 1} constraint rows determine)"

@@ -83,10 +83,13 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 def checked_disc(center, radius, what: str, error=PreconditionError) -> tuple[complex, float]:
     """``(complex(center), float(radius))`` of a disc or circle named ``what``;
-    ``error`` unless the centre is finite and the radius positive and finite."""
+    ``error`` unless the centre is finite, the radius positive and finite,
+    and |centre| + 2 radius finite, so that no point or diameter overflows."""
     center, radius = complex(center), float(radius)
     if not (0.0 < radius < math.inf and cmath.isfinite(center)):
         raise error(f"{what} needs a finite centre and a positive finite radius, got centre {center!r}, radius {radius!r}")
+    if not math.hypot(center.real, center.imag) + 2.0 * radius < math.inf:
+        raise error(f"{what} overflows: |centre| + 2 radius is not finite, got centre {center!r}, radius {radius!r}")
     return center, radius
 
 

@@ -12,6 +12,7 @@ hook so verification steps can re-sample the same set more densely.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -108,6 +109,8 @@ def segment_sample(a: complex, b: complex, count: int, label: str | None = None)
     a, b = complex(a), complex(b)
     if not (cmath.isfinite(a) and cmath.isfinite(b)):
         raise InvalidSampleError(f"segment endpoints must be finite, got {a!r} and {b!r}")
+    if not math.hypot((b - a).real, (b - a).imag) < math.inf:
+        raise InvalidSampleError(f"segment overflows: |b - a| is not finite, got {a!r} and {b!r}")
     t = np.linspace(0.0, 1.0, count)
     pts = a + t * (b - a)
     mesh = abs(b - a) / (count - 1)

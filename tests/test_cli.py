@@ -250,6 +250,14 @@ class TestNonFiniteInputs:
          "a circle path needs a finite centre and a positive finite radius, got centre (nan+0j), radius 1.0"),
         ("cascade --domain disc:0,0,inf",
          "a disc domain needs a finite centre and a positive finite radius, got centre 0j, radius inf"),
+        ("rationalize --sample circle:1e308,0,1e308,10",
+         "a circle sample overflows: |centre| + 2 radius is not finite, got centre (1e+308+0j), radius 1e+308"),
+        ("rationalize --sample segment:-1e308,0,1e308,0,5",
+         "segment overflows: |b - a| is not finite, got (-1e+308+0j) and (1e+308+0j)"),
+        ("moments --f one-over-z --cycle circle:1e308,0,1e308",
+         "a circle path overflows: |centre| + 2 radius is not finite, got centre (1e+308+0j), radius 1e+308"),
+        ("cascade --domain disc:0,0,1e308",
+         "a disc domain overflows: |centre| + 2 radius is not finite, got centre 0j, radius 1e+308"),
         ("pade --builtin exp --p 1 --q 1 --center inf", "series centre must be finite, got (inf+0j)"),
         ("pade --builtin log1m --p 1 --q 1 --center inf", "series centre must be finite, got (inf+0j)"),
         ("pade --builtin geometric --p 1 --q 1 --center inf", "series centre must be finite, got (inf+0j)"),

@@ -39,15 +39,25 @@ from padelab.errors import (
     VerificationError,
 )
 
-from conftest import complex_normal
+from conftest import assert_same_bits, complex_normal
 
 
 def rational(num, den):
     return RationalFunction(Polynomial(num), Polynomial(den))
 
 
+def derivative_rows(points, degree, order, shift, scale):
+    """Rows of d^order/dz^order of the shifted-scaled monomial basis."""
+    m = np.zeros((len(points), degree + 1), dtype=complex)
+    w = (points - shift) / scale
+    for j in range(order, degree + 1):
+        m[:, j] = math.perm(j, order) * w ** (j - order) / scale**order
+    return m
+
+
 def per_degree_fit(k, k_target, grid, l_targets, tol):
-    """Reference degree search: a fresh constraint matrix and QR at every degree.
+    """Reference degree search: a fresh column-scaled Vandermonde in a
+    shifted and scaled monomial basis, and a LAPACK QR, at every degree.
 
     Returns (degree, polynomial) for the first degree that meets tol on the
     samples and on their 4x refinements, or None; it has no rank fallback.
@@ -58,8 +68,8 @@ def per_degree_fit(k, k_target, grid, l_targets, tol):
     targets = [k_target(k.points)] + [target(grid.points) for target in l_targets]
     b = np.concatenate(targets)
     for degree in range(41):
-        a = np.vstack([construct._derivative_rows(k.points, degree, 0, shift, scale)] + [
-            construct._derivative_rows(grid.points, degree, order, shift, scale)
+        a = np.vstack([derivative_rows(k.points, degree, 0, shift, scale)] + [
+            derivative_rows(grid.points, degree, order, shift, scale)
             for order in range(len(l_targets))
         ])
         norms = np.linalg.norm(a, axis=0)
@@ -71,6 +81,11 @@ def per_degree_fit(k, k_target, grid, l_targets, tol):
         if res <= tol and construct._verify_on_refined(poly, k, k_target, grid, l_targets, res) <= tol:
             return degree, poly
     return None
+
+
+def constraint_rows(poly, k_points, grid_points, orders):
+    """A polynomial's values on K, then its derivatives of each order on the grid."""
+    return np.concatenate([poly(k_points)] + [poly.derivative(order)(grid_points) for order in range(orders)])
 
 
 class TestTwoSetPolyFit:
@@ -152,78 +167,95 @@ class TestTwoSetPolyFit:
         assert err.value.best_residual == pytest.approx(2.0944, abs=1e-4)
         assert err.value.best_degree == 6
 
-    def test_repeated_points_take_the_least_squares_fallback(self, monkeypatch):
-        # two distinct points make the columns of degree >= 2 dependent, so
-        # the rank test hands degrees 2 and 3 to lstsq; no polynomial does
-        # better than the midpoint of the conflicting values
+    def test_repeated_points_stop_the_basis(self, monkeypatch):
+        # two distinct points hold two directions, so the basis stops after
+        # two columns, below the cap of 3; no polynomial does better than the
+        # midpoint of the conflicting values
         k = CompactSample(np.array([0, 0, 0.5, 0.5]), "repeated", 0.5)
-        widths = []
-        lstsq = np.linalg.lstsq
+        columns = []
+        arnoldi = construct._confluent_arnoldi
 
-        def counting(a, b, **kwargs):
-            widths.append(a.shape[1])
-            return lstsq(a, b, **kwargs)
+        def recording(*args):
+            for column in arnoldi(*args):
+                columns.append(column)
+                yield column
 
-        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        monkeypatch.setattr(construct, "_confluent_arnoldi", recording)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(FitFailureError) as err:
+            with pytest.raises(FitFailureError, match=r"degree <= 3 \(the most that 4 constraint rows determine\)") as err:
                 two_set_poly_fit(k, np.array([0, 1, 0, 1.0]), None, [], 40, 0.4)
-        assert widths == [3, 4]
+        assert len(columns) == 2
         assert err.value.best_residual == pytest.approx(0.5)
 
-    def test_one_factorization_serves_every_degree(self, monkeypatch):
-        # Against the per-degree LAPACK reference, on the first 40 seeded
-        # targets of this kind, the accepted degree was the same wherever
-        # either accepted (one target failed in both) and the coefficients
-        # differed by at most 1.9e-6 of the largest: the column-scaled
-        # Vandermonde amplifies rounding differences that much.
-        factored, lapack_qr = [], []
-        householder_r, qr = construct._householder_r, np.linalg.qr
-
-        def counting(a):
-            factored.append(a.shape)
-            return householder_r(a)
-
-        def counting_qr(a, *args, **kwargs):
-            lapack_qr.append(a.shape)
-            return qr(a, *args, **kwargs)
-
-        monkeypatch.setattr(construct, "_householder_r", counting)
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    def test_one_basis_serves_every_degree(self, monkeypatch):
+        # Against the per-degree LAPACK reference, on the first 8 seeded
+        # targets of this kind, the accepted degree is the same and the
+        # coefficients differ by at most 4.1e-7 of the largest (1.4e-6 over
+        # the first 40, one of which fails in both): the reference's
+        # column-scaled Vandermonde amplifies rounding that much.
+        # The fit itself runs no LAPACK QR or least-squares solve.
+        lapack = []
+        monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: lapack.append("qr"))
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: lapack.append("lstsq"))
         rng = random.Random(12)
+        cases = []
         for _ in range(8):
             a = 2.0 + cmath.rect(rng.uniform(0.6, 1.2), rng.uniform(0.0, 2.0 * math.pi))
             p = Polynomial([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)])
             k = circle_sample(2.0, 0.25, rng.choice([32, 64, 128]))
             grid = disc_grid_sample(0.0, 0.5, rng.choice([3, 5, 7]))
-            factored.clear()
-            lapack_qr.clear()
-            poly, report = two_set_poly_fit(k, lambda z: 1 / (z - a), grid, [p, p.derivative()], 40, 0.1)
-            # one factorization at the cap's width, 41 columns plus the targets
-            assert factored == [(len(k) + 2 * len(grid), 42)] and lapack_qr == []
-            degree, reference = per_degree_fit(k, lambda z: 1 / (z - a), grid, [p, p.derivative()], 0.1)
+            cases.append((k, lambda z, a=a: 1 / (z - a), grid, [p, p.derivative()]))
+        fits = [two_set_poly_fit(*case, 40, 0.1) for case in cases]
+        assert lapack == []
+        monkeypatch.undo()
+        for case, (poly, report) in zip(cases, fits):
+            degree, reference = per_degree_fit(*case, 0.1)
             assert report.degree == degree
             scale = np.max(np.abs(reference.coefficients))
             assert np.max(np.abs(poly.coefficients - reference.coefficients)) <= 1e-5 * scale
-        factored.clear()
-        with pytest.raises(FitFailureError):
-            two_set_poly_fit(circle_sample(0, 1, 8), lambda z: 1 / (z - 1.05), None, [], 40, 0.1)
-        assert factored == [(8, 9)]
 
-    def test_factorization_matches_lapack(self, rng):
-        # R agrees with LAPACK's up to a unit phase per row, and the appended
-        # column is Q^H b with LAPACK's Q under the same phases
-        a = complex_normal(rng, 60).reshape(20, 3)
-        b = complex_normal(rng, 20)
-        r = construct._householder_r(np.column_stack([a, b]))
-        q_ref, r_ref = np.linalg.qr(a)
-        phases = np.diag(r)[:3] / np.diag(r_ref)
-        assert np.allclose(np.abs(phases), 1.0, atol=1e-14)
-        assert np.allclose(r[:3, :3], phases[:, None] * r_ref, atol=1e-13)
-        assert np.allclose(r[:3, 3], phases * (q_ref.conj().T @ b), atol=1e-13)
-        assert np.allclose(r[3:, :3], 0.0, atol=1e-13)
-        assert np.isclose(np.linalg.norm(r[3:, 3]), np.linalg.norm(b - q_ref @ (q_ref.conj().T @ b)))
+    def test_basis_is_orthonormal_and_satisfies_its_recurrence(self, rng):
+        # values at 12 points of K, then orders 0, 1 and 2 at 5 centres: a row
+        # of order l sits 5 rows below its point's row of order l - 1
+        k_points, grid = 2.0 + 0.25 * complex_normal(rng, 12), 0.3 * complex_normal(rng, 5)
+        z = np.concatenate([k_points, grid, grid, grid])
+        orders = np.repeat([0, 0, 1, 2], [12, 5, 5, 5])
+        columns = list(construct._confluent_arnoldi(z, orders, 5, 16))
+        q = np.array([column for column, _ in columns])
+        assert q.shape == (16, 27)
+        assert np.allclose(q.conj() @ q.T, np.eye(16), rtol=0.0, atol=1e-14)
+        # z q_k = sum_{j <= k+1} h_jk q_j on every row, where on a derivative
+        # row multiplying by z is (z p)^(l) = z p^(l) + l p^(l-1)
+        for k in range(15):
+            zq = z * q[k]
+            zq[17:] += orders[17:] * q[k, 12:22]
+            h = q[: k + 2].conj() @ zq
+            assert np.allclose(h @ q[: k + 2], zq, rtol=0.0, atol=1e-13 * np.linalg.norm(zq))
+        # each column's polynomial in powers of z has that column as its rows,
+        # to within the rounding of a sum in powers of z: 1e-13 of the same
+        # rows of the polynomial with |coefficients| at |z|
+        for column, coefficients in columns:
+            rows = constraint_rows(Polynomial(coefficients), k_points, grid, 3)
+            bound = constraint_rows(Polynomial(np.abs(coefficients)), np.abs(k_points), np.abs(grid), 3)
+            assert np.all(np.abs(rows - column) <= 1e-13 * bound.real)
+
+    def test_k_only_and_l_only_forms(self):
+        # z^3 - 2z from its values on K alone, and from values and derivatives at the centres alone
+        cubic = Polynomial([0, -2.0, 0, 1.0])
+        k, grid = circle_sample(2.0, 0.25, 16), disc_grid_sample(0.0, 0.5, 3)
+        for args in [(k, cubic, None, []), (None, None, grid, [cubic, cubic.derivative()])]:
+            poly, report = two_set_poly_fit(*args, max_degree=40, tol=1e-9)
+            assert report.degree == 3 and report.residual < 1e-12
+            assert np.allclose(poly.coefficients, cubic.coefficients, rtol=0.0, atol=1e-10)
+
+    def test_centres_without_targets_add_no_rows(self):
+        # an l_sample with empty l_targets is the K-only fit, bit for bit
+        k, grid = circle_sample(2.0, 0.25, 32), disc_grid_sample(0.0, 0.5, 5)
+        alone = two_set_poly_fit(k, lambda z: 1.0 / (z - 1.4), None, [], 40, 0.1)
+        with_grid = two_set_poly_fit(k, lambda z: 1.0 / (z - 1.4), grid, [], 40, 0.1)
+        assert alone[1] == with_grid[1]
+        assert_same_bits(alone[0].coefficients, with_grid[0].coefficients)
 
 
 class TestUniversalityCertificate:
@@ -319,6 +351,14 @@ def run_pipeline(target, k, grid, s):
     return universality_pipeline(target, Polynomial([0, 0, 1.0]), k, grid, grid, 2.0, 0.25, s)
 
 
+def reversed_sample(sample):
+    """The same points in reverse order; its refinements are reversed too."""
+    return CompactSample(
+        sample.points[::-1], sample.label, sample.mesh,
+        refine=lambda factor: reversed_sample(sample.refined(factor)),
+    )
+
+
 @pytest.fixture
 def certificate_calls(monkeypatch):
     calls = []
@@ -366,6 +406,17 @@ class TestUniversalityPipeline:
         monkeypatch.setattr(series, "rational_normalize", lambda *args: calls.append(args) or normalize(*args))
         run_pipeline(target, k, grid, 10)
         assert calls == []
+
+    def test_reversed_samples_move_the_fit_only_by_rounding(self):
+        # run 45 accepts degree 25 from 146 rows; reversing the order of the
+        # K points and the centres moved the coefficients of the fit in a
+        # column-scaled monomial basis by 3.3e-3 of the largest
+        target, k, grid, s = list(universality_population(1, 46))[45]
+        forward = run_pipeline(target, k, grid, s)
+        backward = run_pipeline(target, reversed_sample(k), reversed_sample(grid), s)
+        assert forward.fit_report.degree == backward.fit_report.degree == 25
+        a, b = forward.fitted.coefficients, backward.fitted.coefficients
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(a))
 
     def test_population_without_indeterminate_values(self, certificate_calls):
         outcomes = []

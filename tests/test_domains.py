@@ -99,6 +99,33 @@ class TestNonFiniteGeometry:
         with pytest.raises(error, match=f"^{what} needs a finite centre and a positive finite radius, got centre "):
             make(center, radius)
 
+    # finite geometry whose points or diameter overflow: |centre| + 2 radius is inf
+    @pytest.mark.parametrize("center, radius", [(1e308, 1e308), (0.0, 1e308), (complex(1.3e308, 1.3e308), 1.0)])
+    @pytest.mark.parametrize("make, what, error", [
+        (CirclePath, "a circle path", PreconditionError),
+        (DiscDomain, "a disc domain", PreconditionError),
+        (lambda c, r: circle_sample(c, r, 10), "a circle sample", InvalidSampleError),
+        (lambda c, r: disc_grid_sample(c, r, 3), "a disc grid", InvalidSampleError),
+    ])
+    def test_disc_whose_points_or_diameter_overflow(self, make, what, error, center, radius):
+        with pytest.raises(error, match=rf"^{what} overflows: \|centre\| \+ 2 radius is not finite, got centre "):
+            make(center, radius)
+
+    def test_largest_discs_keep_finite_points_and_diameter(self):
+        # |centre| + 2 radius just below the largest double; the suite turns any RuntimeWarning into an error
+        assert DiscDomain(0.0, 8.9e307).diameter < math.inf
+        assert np.isfinite(circle_sample(1e308, 3.9e307, 10).points).all()
+        assert np.isfinite(disc_grid_sample(complex(1e308, 0.0), 3.9e307, 3).points).all()
+
+    @pytest.mark.parametrize("a, b", [(-1e308, 1e308), (0.0, complex(1.5e308, 1.5e308))])
+    def test_segment_whose_length_overflows(self, a, b):
+        with pytest.raises(InvalidSampleError, match=r"^segment overflows: \|b - a\| is not finite, got "):
+            segment_sample(a, b, 5)
+
+    def test_longest_segment_keeps_finite_points_and_mesh(self):
+        sample = segment_sample(-8e307, 8e307, 5)
+        assert np.isfinite(sample.points).all() and sample.mesh == 4e307
+
     @pytest.mark.parametrize("a, b", [(0.0, math.inf), (complex(math.nan, 0.0), 1.0), (0.0, complex(1.0, -math.inf))])
     def test_segment_needs_finite_endpoints(self, a, b):
         with pytest.raises(InvalidSampleError, match="^segment endpoints must be finite, got "):
