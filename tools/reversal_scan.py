@@ -3,8 +3,8 @@
 
 Run from the root of a padelab checkout:
 
-    python3 tools/reversal_scan.py --runs 1:150 2:90
-    python3 tools/reversal_scan.py --runs 1:150 --max-coefficient-move 1e-10
+    python3 tools/reversal_scan.py --runs 1:150
+    python3 tools/reversal_scan.py --runs 1:150 2:90 --verbose
 
 ``--runs SEED:COUNT`` takes the first COUNT targets of
 ``universality_population(SEED, COUNT)`` in ``tests/test_construct.py`` and
@@ -15,9 +15,10 @@ changes no set, so it should change no result beyond rounding.
 Prints the outcome counts of the forward runs, the runs accepted both
 ways, the verdict flips, the accepted-degree changes, the worst move of
 the fitted coefficients relative to the largest, and the worst relative
-move of ``sup_chordal_on_K``, each with its run.  With
-``--max-coefficient-move``, exits 1 when any verdict or degree changed or
-the worst coefficient move exceeds the bound.
+move of ``sup_chordal_on_K``, each with its run.  Exits 1 when any
+verdict or degree changed or the worst coefficient move exceeds 1e-10 of
+the largest coefficient, the bound
+``test_reversed_samples_move_the_fit_only_by_rounding`` also uses.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path.cwd()
+MAX_COEFFICIENT_MOVE = 1e-10
 
 
 def _outcome(run):
@@ -42,7 +44,6 @@ def _outcome(run):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", nargs="+", default=["1:150"], metavar="SEED:COUNT")
-    parser.add_argument("--max-coefficient-move", type=float, default=None)
     parser.add_argument("--verbose", action="store_true", help="one line per run")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
@@ -86,9 +87,8 @@ def main(argv=None) -> int:
     print("degree changes:", len(degree_changes), degree_changes)
     print(f"worst coefficient move: {coefficient_move[0]:.3g} of the largest, run {coefficient_move[1]}")
     print(f"worst sup_chordal_on_K move: {sup_move[0]:.3g} relative, run {sup_move[1]}")
-    bound = args.max_coefficient_move
-    if bound is not None and (flips or degree_changes or coefficient_move[0] > bound):
-        print(f"FAIL: flips, degree changes or a coefficient move above {bound:g}")
+    if flips or degree_changes or coefficient_move[0] > MAX_COEFFICIENT_MOVE:
+        print(f"FAIL: flips, degree changes or a coefficient move above {MAX_COEFFICIENT_MOVE:g}")
         return 1
     return 0
 
