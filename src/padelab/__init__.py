@@ -83,7 +83,6 @@ from .series import (
     RationalFunction,
     derivative_values,
     partial_sum,
-    polynomial_gcd,
     rational_normalize,
     series_builtin,
     taylor_of_rational,

@@ -54,11 +54,13 @@ from .series import (
     PowerSeries,
     RationalFunction,
     _derivative_values,
+    _factor_order,
     _horner,
     modulus,
     _stacked,
     _synthetic_division,
     array_quotient,
+    denominator_poles,
     derivative_values,
     taylor_of_rational,
     values_on,
@@ -418,7 +420,7 @@ def universality_pipeline(
     (N + p D)/D once, at type (numerator degree, denominator degree); a
     rejection raises PerturbationDegenerateError.  D is monic and coprime
     to N by construction (:func:`principal_parts`), and so to N + p D: the
-    sum is formed over D and runs no gcd.  mu' on the grid comes from
+    sum is formed over D and is not normalized.  mu' on the grid comes from
     :func:`padelab.series.derivative_values`.
 
     The fit is certified without the paper's exact-degree perturbation:
@@ -462,52 +464,6 @@ def universality_pipeline(
 # --- principal parts and residue correction --------------------------------------
 
 
-def _newton(f: Polynomial, df: Polynomial, z: complex) -> complex:
-    """Newton's method on f from z, to a step of 1e-15 relative or 40 steps."""
-    for _ in range(40):
-        fz, dfz = f(z), df(z)
-        if dfz == 0:
-            break
-        step = fz / dfz
-        z -= step
-        if abs(step) <= 1e-15 * max(1.0, abs(z)):
-            break
-    return complex(z)
-
-
-def denominator_poles(rational: RationalFunction) -> list[tuple[complex, int, float]]:
-    """The denominator's roots as certified clusters ``(centre, count, radius)``.
-
-    The discs ``|z - centre| < radius`` are disjoint, and each holds exactly
-    ``count`` roots of the denominator B (:func:`_root_disc_radius`).  The
-    computed roots of B start as one group each, in order of real then
-    imaginary part; while a group's disc, for a count equal to its size, is
-    infinite or meets another, the widest such group is merged with the
-    group whose centre is nearest.  A group of one is polished by Newton on
-    B.  A group of m is centred by Newton on B^(m-1) from the mean of its
-    computed roots, which is well conditioned (Zeng, Math. Comp. 74, 2005),
-    and a true m-fold root is simple there.
-    """
-    den = rational.denominator
-    if den.degree <= 0:
-        return []
-    if den.center != 0:
-        den = den.recentered(0.0)
-    den_prime = den.derivative()
-    groups = [[root] for root in sorted(map(complex, np.roots(den.coefficients[::-1])), key=lambda w: (w.real, w.imag))]
-    clusters = [(c, 1, _root_disc_radius(den, c, 1)) for c in (_newton(den, den_prime, root) for root, in groups)]
-    while meets := [i for i, (c, _, r) in enumerate(clusters) if any(abs(c - d) <= r + s for d, _, s in clusters[:i] + clusters[i + 1:])]:
-        i = max(meets, key=lambda i: clusters[i][2])
-        j = min((j for j in range(len(clusters)) if j != i), key=lambda j: abs(clusters[j][0] - clusters[i][0]))
-        i, j = sorted((i, j))
-        groups[i] += groups.pop(j)
-        clusters.pop(j)
-        m = len(groups[i])
-        centre = _newton(den.derivative(m - 1), den.derivative(m), sum(groups[i]) / m)
-        clusters[i] = (centre, m, _root_disc_radius(den, centre, m))
-    return clusters
-
-
 def laurent_coefficients(rational: RationalFunction, pole: complex, multiplicity: int, n: int) -> list[complex]:
     """Laurent coefficients of (z - pole)^-j for j = 1..n at a pole.
 
@@ -542,11 +498,9 @@ def _minus_parts(numerator: np.ndarray, den: Polynomial, parts) -> RationalFunct
     b, out, size = den.coefficients, numerator, float(np.abs(numerator).max())
     for a, coeffs, _ in parts:
         w, k = complex(a) - den.center, len(coeffs)
-        quotient, remainders = _synthetic_division(b, w, k)
-        bounds = _synthetic_division(np.abs(b), abs(w), k)[1]
-        for j, (r, bound) in enumerate(zip(remainders.tolist(), bounds.tolist()), start=1):
-            if abs(r) > MOMENT_VERIFY_TOL * abs(bound):
-                raise VerificationError(f"pole {a!r}: (z - a)^{j} does not divide the denominator, remainder {r!r}")
+        j, quotient, remainders = _factor_order(b, w, k)
+        if j < k:
+            raise VerificationError(f"pole {a!r}: (z - a)^{j + 1} does not divide the denominator, remainder {complex(remainders[j])!r}")
         # B/(z - a)^j = quotient (z - a)^(k-j); c_1 (z - a)^(k-1) + ... + c_k shifted to powers of (z - centre)
         part = np.convolve(quotient, _synthetic_division(np.array(coeffs[::-1], dtype=complex), -w, k)[1])
         out = np.polynomial.polynomial.polysub(out, part)
@@ -603,38 +557,6 @@ def principal_parts(rational: RationalFunction, region) -> RationalFunction:
     # 0 - sum (-c_j) / (z - a)^j over prod (z - a)^m
     den = Polynomial(np.polynomial.polynomial.polyfromroots([p for p, m in selected for _ in range(m)]))
     return _minus_parts(np.zeros(1), den, [(p, [-c for c in coeffs], False) for p, coeffs in parts])
-
-
-def _root_disc_radius(den: Polynomial, pole: complex, mult: int) -> float:
-    """A radius about a point within which lie exactly ``mult`` roots of ``den``.
-
-    Pellet's theorem: with den = sum_k beta_k (z - pole)^k, whenever
-    |beta_m| rho^m > sum_{k != m} |beta_k| rho^k exactly m roots lie in
-    |z - pole| < rho.  The beta_k come from the synthetic division that
-    ``Polynomial.recentered`` runs, and each |beta_k| is widened by a bound
-    on its rounding, which sums binomial(j, k) |b_j| |shift|^(j-k) over the
-    coefficients b_j of den.  Radii are tried from the low-order estimate
-    up in factors of 2; inf when none up to max(1, |pole|) qualifies.  For
-    m = deg den the first radius tried qualifies (Fujiwara's bound).
-    """
-    coefficients, shift = den.coefficients, pole - den.center
-    size = len(coefficients)
-    beta = np.abs(_synthetic_division(coefficients, shift, size)[1])
-    # the same division of the |b_j| at |shift| sums binomial(j, k) |b_j| |shift|^(j-k)
-    slack = 4.0 * size * sys.float_info.epsilon * _synthetic_division(np.abs(coefficients), abs(shift), size)[1].real
-    upper = (beta + slack).tolist()
-    head = float(beta[mult] - slack[mult])
-    upper[mult] = 0.0
-    if head <= 0.0:
-        return math.inf
-    limit = max(1.0, abs(pole))
-    rho = max(2.0 * max((upper[k] / head) ** (1.0 / (mult - k)) for k in range(mult)),
-              sys.float_info.epsilon * limit)
-    while rho <= limit or mult == size - 1:
-        if head * rho**mult > sum(u * rho**k for k, u in enumerate(upper)):
-            return rho
-        rho *= 2.0
-    return math.inf
 
 
 def moment_circle(rational: RationalFunction, circle: CirclePath, n: int) -> CirclePath:
@@ -734,9 +656,10 @@ def residue_correction(
     The numerator A - sum table[(a, j)] B/(z - a)^j is formed once over B,
     and (z - a)^m divided out of both where the order m is at most n.
     VerificationError: (a) a remainder of B by (z - a)^j above
-    MOMENT_VERIFY_TOL times |B|'s at |a|; (b) a numerator remainder r there
-    with |r / Q(a)|, Q = B/(z - a)^m, above MOMENT_VERIFY_TOL times the size
-    of A and the parts before cancellation.  The moments are then checked.
+    ``series.FACTOR_RTOL`` times |B|'s at |a| (``series._factor_order``);
+    (b) a numerator remainder r there with |r / Q(a)|, Q = B/(z - a)^m, above
+    MOMENT_VERIFY_TOL times the size of A and the parts before cancellation.
+    The moments are then checked.
     """
     if n < 1:
         raise PreconditionError("n must be at least 1")

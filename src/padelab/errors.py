@@ -66,6 +66,10 @@ class IndeterminateValueError(NumericError):
     """Numerator and denominator both vanish at an evaluation point."""
 
 
+class NonFiniteValueError(NumericError):
+    """A polynomial's value overflows at a finite evaluation point."""
+
+
 class PrecisionTooCoarseError(NumericError):
     """Dyadic rounding collapsed a denominator to zero, or rounded a
     coefficient past the largest double."""

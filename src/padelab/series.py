@@ -10,11 +10,11 @@ integration) is built on three value types:
 * :class:`PowerSeries` -- truncated Taylor coefficients ``a_0..a_N`` at a
   center; the truncation order is ``len(coefficients) - 1``.
 * :class:`RationalFunction` -- a coprime numerator/denominator pair with a
-  monic denominator.  Coprimality is enforced with a tolerant polynomial
-  Euclid; a common factor is divided out only when some remainder in the
-  Euclidean sequence falls below ``GCD_RTOL`` relative to the operands.
-  The gcd runs where a rational enters the library, at construction.  A
-  rational has no arithmetic: one derived from others is formed by its
+  monic denominator.  At construction, ``(z - c)^k`` is divided out of both
+  at the centre c of a cluster of the denominator's roots where their first k
+  Taylor coefficients vanish to rounding (:func:`rational_normalize`), by a
+  test of terms of one degree in z, which rescaling z does not move.
+  A rational has no arithmetic: one derived from others is formed by its
   caller over a denominator known to be monic and coprime to it
   (``_normalized=True``), and its derivatives on points come from
   :func:`derivative_values`.
@@ -52,12 +52,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
 from .errors import (
     InsufficientSeriesError,
     InvalidDenominatorError,
+    NonFiniteValueError,
     PoleAtCenterError,
     PreconditionError,
     SingularCenterError,
@@ -66,8 +68,8 @@ from .errors import (
 # Trailing coefficients are dropped when |c| <= TRIM_RTOL * max |c|; the
 # purely relative floor keeps the degree stable under scalar multiplication.
 TRIM_RTOL = 1e-13
-# Euclidean remainder below GCD_RTOL * operand scale declares a common factor.
-GCD_RTOL = 1e-10
+# A Taylor remainder at most FACTOR_RTOL times the size of its terms vanishes (_factor_order).
+FACTOR_RTOL = 1e-9
 # |B(center)| below POLE_RTOL * coefficient scale counts as a pole.
 POLE_RTOL = 1e-12
 
@@ -168,11 +170,15 @@ def square(x: np.ndarray) -> np.ndarray:
 def array_quotient(numerator: "Polynomial", denominator: "Polynomial", z: np.ndarray):
     """``numerator(z) / denominator(z)`` at every point of an ndarray.
 
-    A zero denominator gives an infinite or NaN entry without a warning;
-    such an entry stands for the point at infinity.
+    A zero denominator, or a non-finite point, gives an infinite or NaN
+    entry without a warning: the point at infinity.  NonFiniteValueError
+    where a value overflows at a finite point.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return numerator(z) / denominator(z)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top, bottom = numerator(z), denominator(z)
+        if (overflow := ~(np.isfinite(top) & np.isfinite(bottom)) & np.isfinite(z)).any():
+            raise NonFiniteValueError(f"the numerator or denominator overflows at {complex(z[overflow][0])!r}")
+        return top / bottom
 
 
 def derivative_values(
@@ -186,7 +192,7 @@ def derivative_values(
 
     so every order costs a few array products and one division, from the
     values of the polynomial derivatives alone: no quotient-rule rational is
-    formed and no gcd is run.  The products are taken in real arithmetic
+    formed and no normalization is run.  The products are taken in real arithmetic
     (:func:`_product`), so every value equals the scalar recurrence at that
     point bit for bit, up to the sign of a zero; order 0 is
     :func:`array_quotient`.  Like it, a zero denominator gives non-finite
@@ -380,43 +386,97 @@ def _synthetic_division(coefficients: np.ndarray, a: complex, k: int) -> tuple[n
     return np.array(work, dtype=complex), np.array(remainders, dtype=complex)
 
 
-def polynomial_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Quotient and remainder of ``a / b`` (same center)."""
-    a._check_center(b)
-    if b.is_zero:
-        raise InvalidDenominatorError("division by the zero polynomial")
-    rem = np.array(a.coefficients, dtype=complex)
-    div = b.coefficients
-    if len(rem) < len(div):
-        return Polynomial.zero(a.center), a
-    quot = np.zeros(len(rem) - len(div) + 1, dtype=complex)
-    for k in range(len(quot) - 1, -1, -1):
-        factor = rem[k + len(div) - 1] / div[-1]
-        quot[k] = factor
-        rem[k : k + len(div)] -= factor * div
-    return Polynomial(quot, a.center), Polynomial(rem[: len(div) - 1] if len(div) > 1 else [0.0], a.center)
+def _factor_order(coefficients: np.ndarray, a: complex, k: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """How many of the k remainders of ``sum c_i w^i`` by ``(w - a)`` vanish before
+    the first that does not, the quotient and the remainders.  Remainder j vanishes
+    when at most FACTOR_RTOL times the same division of the |c_i| at |a|, the size of
+    its terms: one degree in w on both sides, so rescaling w keeps the count."""
+    quotient, remainders = _synthetic_division(coefficients, a, k)
+    bounds = _synthetic_division(np.abs(coefficients), abs(a), k)[1]
+    pairs = enumerate(zip(remainders.tolist(), bounds.tolist()))
+    return next((j for j, (r, bound) in pairs if abs(r) > FACTOR_RTOL * abs(bound)), k), quotient, remainders
 
 
-def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic approximate gcd via the Euclidean remainder sequence.
+def _newton(f: Polynomial, df: Polynomial, z: complex) -> complex:
+    """Newton's method on f from z, to a step of 1e-15 relative or 40 steps."""
+    for _ in range(40):
+        fz, dfz = f(z), df(z)
+        if dfz == 0:
+            break
+        step = fz / dfz
+        z -= step
+        if abs(step) <= 1e-15 * max(1.0, abs(z)):
+            break
+    return complex(z)
 
-    A common factor is declared only when a remainder's coefficient norm
-    falls below ``GCD_RTOL`` times the operand scale; otherwise the gcd
-    is 1.  With exact data this reduces to ordinary polynomial Euclid.
+
+def denominator_poles(rational: "RationalFunction") -> list[tuple[complex, int, float]]:
+    """The denominator's roots as certified clusters ``(centre, count, radius)``.
+
+    The discs ``|z - centre| < radius`` are disjoint, and each holds exactly
+    ``count`` roots of the denominator B (:func:`_root_disc_radius`).  The
+    computed roots of B start as one group each, in order of real then
+    imaginary part; while a group's disc, for a count equal to its size, is
+    infinite or meets another, the widest such group is merged with the
+    group whose centre is nearest.  A group of one is polished by Newton on
+    B.  A group of m is centred by Newton on B^(m-1) from the mean of its
+    computed roots, which is well conditioned (Zeng, Math. Comp. 74, 2005),
+    and a true m-fold root is simple there.
     """
-    scale = max(a.coefficient_scale(), b.coefficient_scale())
-    f, g = (a, b) if a.degree >= b.degree else (b, a)
-    while not g.is_zero:
-        if g.degree == 0:
-            return Polynomial([1.0], a.center)
-        _, r = polynomial_divmod(f, g)
-        rnorm = float(np.abs(r.coefficients).max())
-        if rnorm <= GCD_RTOL * scale:
-            lead = g.leading_coefficient
-            return Polynomial(g.coefficients / lead, g.center)
-        f, g = g, r
-    lead = f.leading_coefficient
-    return Polynomial(f.coefficients / lead, f.center)
+    den = rational.denominator
+    if den.degree <= 0:
+        return []
+    if den.center != 0:
+        den = den.recentered(0.0)
+    den_prime = den.derivative()
+    groups = [[root] for root in sorted(map(complex, np.roots(den.coefficients[::-1])), key=lambda w: (w.real, w.imag))]
+    clusters = [(c, 1, _root_disc_radius(den, c, 1)) for c in (_newton(den, den_prime, root) for root, in groups)]
+    while meets := [i for i, (c, _, r) in enumerate(clusters) if any(abs(c - d) <= r + s for d, _, s in clusters[:i] + clusters[i + 1:])]:
+        i = max(meets, key=lambda i: clusters[i][2])
+        j = min((j for j in range(len(clusters)) if j != i), key=lambda j: abs(clusters[j][0] - clusters[i][0]))
+        i, j = sorted((i, j))
+        groups[i] += groups.pop(j)
+        clusters.pop(j)
+        m = len(groups[i])
+        centre = _newton(den.derivative(m - 1), den.derivative(m), sum(groups[i]) / m)
+        clusters[i] = (centre, m, _root_disc_radius(den, centre, m))
+    return clusters
+
+
+def _root_disc_radius(den: Polynomial, pole: complex, mult: int) -> float:
+    """A radius about a point within which lie exactly ``mult`` roots of ``den``.
+
+    Pellet's theorem: with den = sum_k beta_k (z - pole)^k, whenever
+    |beta_m| rho^m > sum_{k != m} |beta_k| rho^k exactly m roots lie in
+    |z - pole| < rho.  The beta_k come from the synthetic division that
+    ``Polynomial.recentered`` runs, and each |beta_k| is widened by a bound
+    on its rounding, which sums binomial(j, k) |b_j| |shift|^(j-k) over the
+    coefficients b_j of den.  Radii are tried from the low-order estimate
+    up in factors of 2; inf when none up to max(1, |pole|) qualifies, or
+    once rho or a term is no longer finite.  For m = deg den the first
+    radius tried qualifies (Fujiwara's bound).
+    """
+    coefficients, shift = den.coefficients, pole - den.center
+    size = len(coefficients)
+    beta = np.abs(_synthetic_division(coefficients, shift, size)[1])
+    # the same division of the |b_j| at |shift| sums binomial(j, k) |b_j| |shift|^(j-k)
+    slack = 4.0 * size * sys.float_info.epsilon * _synthetic_division(np.abs(coefficients), abs(shift), size)[1].real
+    upper = (beta + slack).tolist()
+    head = float(beta[mult] - slack[mult])
+    upper[mult] = 0.0
+    if head <= 0.0:
+        return math.inf
+    limit = max(1.0, abs(pole))
+    rho = max(2.0 * max((upper[k] / head) ** (1.0 / (mult - k)) for k in range(mult)),
+              sys.float_info.epsilon * limit)
+    try:  # a float power past the largest double raises OverflowError
+        while (rho <= limit or mult == size - 1) and (rest := sum(u * rho**k for k, u in enumerate(upper))) < math.inf:
+            if head * rho**mult > rest:
+                return rho
+            rho *= 2.0
+    except OverflowError:
+        pass
+    return math.inf
 
 
 class RationalFunction:
@@ -460,20 +520,31 @@ class RationalFunction:
 def rational_normalize(numerator: Polynomial, denominator: Polynomial) -> RationalFunction:
     """Coprime, monic-denominator representative of ``numerator/denominator``.
 
-    Idempotent: normalizing an already normalized pair changes nothing.
+    D is made monic.  At each cluster (c, m, r) of :func:`denominator_poles`,
+    (z - c)^k is divided out of N and D, for the largest k <= m at which the
+    first k Taylor coefficients of both at c vanish (:func:`_factor_order`);
+    after a division the clusters of what is left are found again.
+    Idempotent.  PreconditionError where a coefficient modulus overflows.
     """
     if denominator.is_zero:
         raise InvalidDenominatorError("denominator is identically zero")
     numerator._check_center(denominator)
-    common = polynomial_gcd(numerator, denominator)
-    if common.degree > 0:
-        numerator, _ = polynomial_divmod(numerator, common)
-        denominator, _ = polynomial_divmod(denominator, common)
+    if max(numerator.coefficient_scale(), denominator.coefficient_scale()) == math.inf:
+        raise PreconditionError("a coefficient modulus of the numerator or denominator overflows")
     lead = denominator.leading_coefficient
     if lead != 1.0:
         numerator = numerator * (1.0 / lead)
         denominator = Polynomial(denominator.coefficients / lead, denominator.center)
-    return RationalFunction(numerator, denominator, _normalized=True)
+    while True:
+        pair = RationalFunction(numerator, denominator, _normalized=True)
+        for c, m, _ in denominator_poles(pair):
+            w = c - denominator.center
+            k = _factor_order(numerator.coefficients, w, m)[0]  # D only to N's order, 0 off a shared root
+            if k and (k := _factor_order(denominator.coefficients, w, k)[0]):
+                numerator, denominator = (Polynomial(_synthetic_division(p.coefficients, w, k)[0], p.center) for p in (numerator, denominator))
+                break
+        else:
+            return pair
 
 
 class PowerSeries:

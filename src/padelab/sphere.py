@@ -123,7 +123,9 @@ def rationalize_coefficients(rational: RationalFunction, bits: int) -> RationalF
     Every coefficient's real and imaginary parts are rounded to the
     nearest multiple of 2^-bits and the pair is re-normalized, which
     keeps all coefficients in Q + iQ.  Rationals whose coefficients are
-    already dyadic at this precision are fixed points.  Rounding that
+    already dyadic at this precision are fixed points.  Coarse rounding can
+    create an exact common root, which the normalization divides out by its
+    one rule: (z - 1.1)/(z - 0.9) rounds to 1 at bits = 1.  Rounding that
     collapses the denominator to zero raises PrecisionTooCoarseError.
     """
     num = Polynomial(

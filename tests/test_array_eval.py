@@ -185,16 +185,29 @@ class TestHornerKernel:
         points = np.array([0.5 - 1j, -2.0 + 0j])
         assert_same_bits(Polynomial.zero(0.5j)(points), np.array([0j, 0j]))
 
-    def test_rational_and_pade_match_scalar_loop(self, rng):
-        for _ in range(40):
+    @staticmethod
+    def random_pairs(rng, count):
+        for _ in range(count):
             center = random_center(rng)
             num = Polynomial(random_coefficients(rng, int(rng.integers(0, 21))), center)
             den = Polynomial(random_coefficients(rng, int(rng.integers(0, 21))), center)
+            yield num, den, center + 2.0 * complex_normal(rng, 57)
+
+    def test_rational_and_pade_match_scalar_loop(self, rng):
+        for num, den, points in self.random_pairs(rng, 40):
             r = RationalFunction(num, den)
-            approx = PadeApproximant(0, 0, center, num, den, 1.0 + 0j, True)
-            points = center + 2.0 * complex_normal(rng, 57)
+            approx = PadeApproximant(0, 0, num.center, num, den, 1.0 + 0j, True)
             for f in (r, approx):
                 assert_same_bits(f(points), np.array([f(complex(z)) for z in points]))
+
+    def test_random_pair_is_not_reduced(self, rng):
+        # pair 24 of the test above, of degrees (19, 15): the tolerant Euclid cut it to
+        # (5, 1), a function 5.2e9 away relative on these points; no root of D is shared
+        num, den, points = list(self.random_pairs(rng, 25))[-1]
+        r = RationalFunction(num, den)
+        assert (r.numerator.degree, r.denominator.degree) == (num.degree, den.degree) == (19, 15)
+        want = num(points) / den(points)
+        assert np.max(np.abs(r(points) - want) / np.abs(want)) < 1e-12
 
 
     def test_derivative_values_match_scalar_recurrence(self, rng):

@@ -274,6 +274,28 @@ class TestNonFiniteInputs:
         assert run(argv.split()) == EXIT_PRECONDITION
         assert capsys.readouterr().err == f"precondition error: {message}\n"
 
+    def test_overflowing_values_at_finite_points(self, capsys):
+        # the sample is finite, and pi z + 1 overflows on it; this printed sup_chordal 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("rationalize --sample disc-grid:1e308,1e308,1,3".split()) == EXIT_NUMERIC
+        assert capsys.readouterr().err == "numeric failure: the numerator or denominator overflows at (1e+308+1e+308j)\n"
+
+    def test_overflowing_coefficient_modulus_ends_at_entry(self, tmp_path):
+        # |1.5e308 + 1.5e308i| overflows; the pole finder's radius loop never ended on it
+        den = {"center": [0, 0], "coefficients": [[1.5e308, 1.5e308], [1, 0]]}
+        h = {"numerator": {"center": [0, 0], "coefficients": [[1, 0]]}, "denominator": den}
+        (tmp_path / "c.json").write_text(json.dumps({"rationals": {"h": h}}))
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "padelab.cli", "--config", "c.json", "moments", "--f", "config:h",
+             "--cycle", "circle:0,0,1"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == EXIT_PRECONDITION
+        assert done.stderr == "precondition error: a coefficient modulus of the numerator or denominator overflows\n"
+
 
 class TestExpBeyondFloatFactorials:
     # float(k!) overflows from k = 171 on

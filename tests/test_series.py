@@ -10,7 +10,6 @@ from padelab import (
     RationalFunction,
     derivative_values,
     partial_sum,
-    polynomial_gcd,
     rational_normalize,
     series_builtin,
     taylor_of_rational,
@@ -18,11 +17,12 @@ from padelab import (
 from padelab.errors import (
     InsufficientSeriesError,
     InvalidDenominatorError,
+    NonFiniteValueError,
     PoleAtCenterError,
     PreconditionError,
     SingularCenterError,
 )
-from padelab.series import TRIM_RTOL, _synthetic_division, polynomial_divmod
+from padelab.series import TRIM_RTOL, _root_disc_radius, _synthetic_division
 
 from conftest import assert_same_bits, complex_normal
 
@@ -72,13 +72,6 @@ class TestPolynomialAlgebra:
         small = Polynomial([1e-9 * c for c in base])
         assert small.degree == Polynomial(base).degree == 1
 
-    def test_divmod_roundtrip(self, rng):
-        a = Polynomial(complex_normal(rng, 7))
-        b = Polynomial(complex_normal(rng, 4))
-        q, r = polynomial_divmod(a, b)
-        recomposed = q * b + r
-        assert np.allclose(recomposed.coefficients, a.coefficients, atol=1e-12)
-
 
 class TestRationalNormalize:
     def test_common_factor_divided_out(self):
@@ -87,13 +80,9 @@ class TestRationalNormalize:
         r = rational_normalize(num, den)
         assert np.allclose(r.numerator.coefficients, [2, 1])
         assert np.allclose(r.denominator.coefficients, [3, 1])
-
-    def test_euclid_oracle_confirms_gcd(self):
-        num = poly(-1, 1) * poly(2, 1)
-        den = poly(-1, 1) * poly(3, 1)
-        g = polynomial_gcd(num, den)
-        assert g.degree == 1
-        assert abs(g(1.0)) < 1e-12
+        # the factor divided out has degree 1 and vanishes at 1
+        assert num.degree - r.numerator.degree == den.degree - r.denominator.degree == 1
+        assert abs(r.denominator(1.0)) > 1.0 and abs(r.numerator(1.0)) > 1.0
 
     def test_already_coprime_unchanged(self):
         r = rational_normalize(poly(2, 1), poly(3, 1))
@@ -112,6 +101,96 @@ class TestRationalNormalize:
         assert np.allclose(once.numerator.coefficients, twice.numerator.coefficients)
         assert np.allclose(once.denominator.coefficients, twice.denominator.coefficients)
 
+    def test_double_common_factor_divided_out(self):
+        num = poly(-1, 1) * poly(-1, 1) * poly(2, 1)  # (z-1)^2 (z+2)
+        den = poly(-1, 1) * poly(-1, 1) * poly(3, 1)  # (z-1)^2 (z+3)
+        r = rational_normalize(num, den)
+        assert np.allclose(r.numerator.coefficients, [2, 1])
+        assert np.allclose(r.denominator.coefficients, [3, 1])
+
+    def test_factor_divided_only_to_the_numerators_order(self):
+        # D's cluster at 1 has count 2, N vanishes there to order 1: k = 1 < m
+        num = poly(-1, 1) * poly(-2, 1)  # (z-1)(z-2)
+        den = poly(-1, 1) * poly(-1, 1) * poly(3, 1)  # (z-1)^2 (z+3)
+        r = rational_normalize(num, den)
+        assert np.allclose(r.numerator.coefficients, [-2, 1])
+        assert np.allclose(r.denominator.coefficients, (poly(-1, 1) * poly(3, 1)).coefficients)
+
+    def test_common_factor_of_the_zero_numerator(self):
+        r = rational_normalize(Polynomial([0.0]), poly(-1, 1) * poly(3, 1))
+        assert r.numerator.is_zero and r.denominator.degree == 0
+
+    @pytest.mark.parametrize("coefficients", [[1.5e308 + 1.5e308j, 1.0], [1.0, 1.5e308 - 1.5e308j]])
+    def test_overflowing_coefficient_modulus_is_a_precondition_error(self, coefficients):
+        for num, den in ((Polynomial(coefficients), poly(1, 1)), (poly(1), Polynomial(coefficients))):
+            with pytest.raises(PreconditionError, match="coefficient modulus"):
+                rational_normalize(num, den)
+
+    # whether a common factor is divided out; z -> 2^k z scales coefficient i by 2^(-k i), exactly
+    @staticmethod
+    def cancels(num, den, k):
+        scale = 2.0 ** (-k * np.arange(max(len(num), len(den))))
+        r = rational_normalize(Polynomial(num * scale[: len(num)]), Polynomial(den * scale[: len(den)]))
+        return r.denominator.degree < len(den) - 1
+
+    def test_near_common_root_verdict_does_not_flip_under_rescaling(self):
+        # N = (z-1)(z-2), D = (z-1-d)(z+3): the tolerant Euclid cancelled at d = 1e-9 for
+        # k <= -2 only, at 1e-8 for k <= -4, at 1e-7 for k = -6
+        num = np.polynomial.polynomial.polyfromroots([1.0, 2.0])
+        verdicts = {}
+        for d in (1e-9, 1e-8, 1e-7):
+            den = np.polynomial.polynomial.polyfromroots([1.0 + d, -3.0])
+            verdicts[d] = {self.cancels(num, den, k) for k in range(-6, 7)}
+        assert verdicts == {1e-9: {True}, 1e-8: {False}, 1e-7: {False}}
+
+    def test_seeded_near_common_roots_do_not_flip_under_rescaling(self):
+        # 300 pairs sharing a root up to d in 1e-11..1e-5, with 1 to 3 other roots each;
+        # the tolerant Euclid's verdict flipped in 204 of them over these k
+        rng = np.random.default_rng(26)
+        counts = {False: 0, True: 0}
+        for _ in range(300):
+            a = complex(*rng.uniform(-2.0, 2.0, 2))
+            d = 10.0 ** rng.uniform(-11.0, -5.0) * np.exp(2j * np.pi * rng.uniform())
+            num, den = (
+                np.polynomial.polynomial.polyfromroots(
+                    [root] + [complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(int(rng.integers(1, 4)))]
+                )
+                for root in (a, a + d)
+            )
+            verdicts = {self.cancels(num, den, k) for k in (-6, -3, 0, 3, 6)}
+            assert len(verdicts) == 1, (a, d)
+            counts[verdicts.pop()] += 1
+        assert counts == {False: 158, True: 142}
+
+
+class TestRootDiscRadius:
+    @pytest.mark.parametrize("coefficients, pole, mult", [
+        ([1e300, 1e300], 1e10, 1),  # the terms at the pole overflow
+        ([1.0, 0.0, 1.0], 1e200, 2),  # rho^2 is past the largest double
+        ([1.0, 0.0, 1.0], 1e200, 1),
+    ])
+    def test_non_finite_terms_give_an_infinite_radius(self, coefficients, pole, mult):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _root_disc_radius(Polynomial(coefficients), complex(pole), mult) == math.inf
+
+
+class TestArrayQuotient:
+    def test_overflow_at_a_finite_point_raises(self):
+        f = RationalFunction(poly(1, math.pi), poly(-2, 1))
+        z = np.array([0.5, 1e308 + 1e308j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValueError, match=r"overflows at \(1e\+308\+1e\+308j\)"):
+                f(z)
+
+    def test_infinity_and_poles_keep_their_values(self):
+        f = RationalFunction(poly(1, math.pi), poly(-2, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = f(np.array([complex(math.inf, 0.0), complex(math.nan, 1.0), 2.0, 0.0]))
+        assert not np.isfinite(values[:3]).any()
+        assert values[3] == -0.5
 
 
 class TestDerivativeValues:
