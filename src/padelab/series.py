@@ -11,9 +11,10 @@ integration) is built on three value types:
   center; the truncation order is ``len(coefficients) - 1``.
 * :class:`RationalFunction` -- a coprime numerator/denominator pair with a
   monic denominator.  At construction, ``(z - c)^k`` is divided out of both
-  at the centre c of a cluster of the denominator's roots where their first k
-  Taylor coefficients vanish to rounding (:func:`rational_normalize`), by a
-  test of terms of one degree in z, which rescaling z does not move.
+  at the centre c of a cluster of the denominator's roots, or at a root of a
+  merged cluster, where their first k Taylor coefficients vanish to rounding
+  (:func:`rational_normalize`), by a test of terms of one degree in z, which
+  rescaling z does not move.
   A rational has no arithmetic: one derived from others is formed by its
   caller over a denominator known to be monic and coprime to it
   (``_normalized=True``), and its derivatives on points come from
@@ -171,14 +172,19 @@ def array_quotient(numerator: "Polynomial", denominator: "Polynomial", z: np.nda
     """``numerator(z) / denominator(z)`` at every point of an ndarray.
 
     A zero denominator, or a non-finite point, gives an infinite or NaN
-    entry without a warning: the point at infinity.  NonFiniteValueError
-    where a value overflows at a finite point.
+    entry without a warning: the point at infinity.  A value that overflows
+    at a finite point decides the quotient, as infinite or 0, only against
+    a value of modulus at most 1; elsewhere NonFiniteValueError.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top, bottom = numerator(z), denominator(z)
-        if (overflow := ~(np.isfinite(top) & np.isfinite(bottom)) & np.isfinite(z)).any():
-            raise NonFiniteValueError(f"the numerator or denominator overflows at {complex(z[overflow][0])!r}")
-        return top / bottom
+        quotient, finite = top / bottom, np.isfinite(z)
+        huge_top, huge_bottom = ~np.isfinite(top) & finite, ~np.isfinite(bottom) & finite
+        if huge_top.any() or huge_bottom.any():
+            if (undecided := huge_top & ~(modulus(bottom) <= 1.0) | huge_bottom & ~(modulus(top) <= 1.0)).any():
+                raise NonFiniteValueError(f"the numerator or denominator overflows at {complex(z[undecided][0])!r}")
+            quotient[huge_bottom] = 0.0
+        return quotient
 
 
 def derivative_values(
@@ -390,11 +396,12 @@ def _factor_order(coefficients: np.ndarray, a: complex, k: int) -> tuple[int, np
     """How many of the k remainders of ``sum c_i w^i`` by ``(w - a)`` vanish before
     the first that does not, the quotient and the remainders.  Remainder j vanishes
     when at most FACTOR_RTOL times the same division of the |c_i| at |a|, the size of
-    its terms: one degree in w on both sides, so rescaling w keeps the count."""
+    its terms: one degree in w on both sides, so rescaling w keeps the count.  A
+    remainder or bound that overflows does not vanish."""
     quotient, remainders = _synthetic_division(coefficients, a, k)
     bounds = _synthetic_division(np.abs(coefficients), abs(a), k)[1]
     pairs = enumerate(zip(remainders.tolist(), bounds.tolist()))
-    return next((j for j, (r, bound) in pairs if abs(r) > FACTOR_RTOL * abs(bound)), k), quotient, remainders
+    return next((j for j, (r, bound) in pairs if not abs(r) <= FACTOR_RTOL * abs(bound) < math.inf), k), quotient, remainders
 
 
 def _newton(f: Polynomial, df: Polynomial, z: complex) -> complex:
@@ -423,24 +430,35 @@ def denominator_poles(rational: "RationalFunction") -> list[tuple[complex, int, 
     computed roots, which is well conditioned (Zeng, Math. Comp. 74, 2005),
     and a true m-fold root is simple there.
     """
-    den = rational.denominator
+    return list(rational._clusters or _root_clusters(rational.denominator)[0])
+
+
+def _root_clusters(den: Polynomial) -> tuple[list[tuple[complex, int, float]], list[list[complex]]]:
+    """The clusters of :func:`denominator_poles` for the polynomial ``den``,
+    and the roots of each cluster, every one polished by Newton on ``den``."""
     if den.degree <= 0:
-        return []
+        return [], []
     if den.center != 0:
         den = den.recentered(0.0)
     den_prime = den.derivative()
-    groups = [[root] for root in sorted(map(complex, np.roots(den.coefficients[::-1])), key=lambda w: (w.real, w.imag))]
-    clusters = [(c, 1, _root_disc_radius(den, c, 1)) for c in (_newton(den, den_prime, root) for root, in groups)]
+    line = den.degree == 1 and den.coefficients[0] != 0  # np.roots of a line gives this quotient's bits, unless 0
+    roots = -den.coefficients[:1] / den.coefficients[1] if line else np.roots(den.coefficients[::-1])
+    groups = [[root] for root in sorted(map(complex, roots), key=lambda w: (w.real, w.imag))]
+    members = [[_newton(den, den_prime, root)] for root, in groups]
+    clusters = [(c, 1, _root_disc_radius(den, c, 1)) for c, in members]
     while meets := [i for i, (c, _, r) in enumerate(clusters) if any(abs(c - d) <= r + s for d, _, s in clusters[:i] + clusters[i + 1:])]:
         i = max(meets, key=lambda i: clusters[i][2])
         j = min((j for j in range(len(clusters)) if j != i), key=lambda j: abs(clusters[j][0] - clusters[i][0]))
         i, j = sorted((i, j))
         groups[i] += groups.pop(j)
+        members[i] += members.pop(j)
         clusters.pop(j)
         m = len(groups[i])
-        centre = _newton(den.derivative(m - 1), den.derivative(m), sum(groups[i]) / m)
+        # B^(m-1) / (m-1)!, whose coefficients do not overflow for m > 170; for m = 2 the bits of B'
+        scaled = den.coefficients[m - 1:] * np.array([math.comb(n + m - 1, n) for n in range(len(den.coefficients) - m + 1)], dtype=float)
+        centre = _newton(Polynomial(scaled), Polynomial(_differentiated(scaled, 1)), sum(groups[i]) / m)
         clusters[i] = (centre, m, _root_disc_radius(den, centre, m))
-    return clusters
+    return clusters, members
 
 
 def _root_disc_radius(den: Polynomial, pole: complex, mult: int) -> float:
@@ -482,14 +500,16 @@ def _root_disc_radius(den: Polynomial, pole: complex, mult: int) -> float:
 class RationalFunction:
     """Coprime pair ``numerator / denominator`` with a monic denominator."""
 
-    __slots__ = ("numerator", "denominator")
+    # _clusters: the denominator's root clusters as normalization found them, or None
+    __slots__ = ("numerator", "denominator", "_clusters")
 
-    def __init__(self, numerator: Polynomial, denominator: Polynomial, *, _normalized=False):
+    def __init__(self, numerator: Polynomial, denominator: Polynomial, *, _normalized=False, _clusters=None):
         if not _normalized:
             normalized = rational_normalize(numerator, denominator)
-            numerator, denominator = normalized.numerator, normalized.denominator
+            numerator, denominator, _clusters = normalized.numerator, normalized.denominator, normalized._clusters
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "_clusters", _clusters)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("RationalFunction is immutable")
@@ -522,29 +542,32 @@ def rational_normalize(numerator: Polynomial, denominator: Polynomial) -> Ration
 
     D is made monic.  At each cluster (c, m, r) of :func:`denominator_poles`,
     (z - c)^k is divided out of N and D, for the largest k <= m at which the
-    first k Taylor coefficients of both at c vanish (:func:`_factor_order`);
-    after a division the clusters of what is left are found again.
-    Idempotent.  PreconditionError where a coefficient modulus overflows.
+    first k Taylor coefficients of both at c vanish (:func:`_factor_order`),
+    then at each root of a cluster of m > 1 with m = 1, since a root shared
+    with N sits off such a centre.  After a division the clusters of what is
+    left are found again.  Idempotent.  PreconditionError where a
+    coefficient modulus overflows.
     """
     if denominator.is_zero:
         raise InvalidDenominatorError("denominator is identically zero")
     numerator._check_center(denominator)
-    if max(numerator.coefficient_scale(), denominator.coefficient_scale()) == math.inf:
+    if max(np.abs(numerator.coefficients).max(), np.abs(denominator.coefficients).max()) == math.inf:
         raise PreconditionError("a coefficient modulus of the numerator or denominator overflows")
     lead = denominator.leading_coefficient
     if lead != 1.0:
         numerator = numerator * (1.0 / lead)
         denominator = Polynomial(denominator.coefficients / lead, denominator.center)
     while True:
-        pair = RationalFunction(numerator, denominator, _normalized=True)
-        for c, m, _ in denominator_poles(pair):
+        clusters, members = _root_clusters(denominator)
+        points = [(c, m) for c, m, _ in clusters] + [(z, 1) for roots in members if len(roots) > 1 for z in roots]
+        for c, m in points:
             w = c - denominator.center
             k = _factor_order(numerator.coefficients, w, m)[0]  # D only to N's order, 0 off a shared root
             if k and (k := _factor_order(denominator.coefficients, w, k)[0]):
                 numerator, denominator = (Polynomial(_synthetic_division(p.coefficients, w, k)[0], p.center) for p in (numerator, denominator))
                 break
         else:
-            return pair
+            return RationalFunction(numerator, denominator, _normalized=True, _clusters=tuple(clusters))
 
 
 class PowerSeries:

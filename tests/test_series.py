@@ -22,7 +22,7 @@ from padelab.errors import (
     PreconditionError,
     SingularCenterError,
 )
-from padelab.series import TRIM_RTOL, _root_disc_radius, _synthetic_division
+from padelab.series import TRIM_RTOL, _root_disc_radius, _synthetic_division, denominator_poles
 
 from conftest import assert_same_bits, complex_normal
 
@@ -126,6 +126,45 @@ class TestRationalNormalize:
             with pytest.raises(PreconditionError, match="coefficient modulus"):
                 rational_normalize(num, den)
 
+    @pytest.mark.parametrize("num, den", [
+        ([1.0] + [0.0] * 39 + [1.0], [-1e12, 1.0]),  # (z^40 + 1)/(z - 1e12): N(1e12) overflows
+        ([1e300, 1e300], [-1e10, 1.0]),  # 1e300 (z + 1)/(z - 1e10)
+    ])
+    def test_overflowing_remainder_keeps_the_pole(self, num, den):
+        # a remainder and its bound that both overflow decide nothing, so nothing is divided out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = rational_normalize(Polynomial(num), Polynomial(den))
+        assert r.numerator.degree == len(num) - 1 and r.denominator.degree == 1
+
+    @pytest.mark.parametrize("d", [5e-8, 1e-7, 2e-7])
+    def test_shared_root_inside_a_merged_cluster_divided_out(self, d):
+        # D's roots 1 and 1 + d form one cluster of count 2, whose centre near 1 + d/2
+        # is no root of N = (z-1)(z-2); the member root at 1 is
+        num, den = (np.polynomial.polynomial.polyfromroots(roots) for roots in ([1.0, 2.0], [1.0, 1.0 + d]))
+        assert len(denominator_poles(RationalFunction(Polynomial([1.0]), Polynomial(den)))) == 1
+        r = rational_normalize(Polynomial(num), Polynomial(den))
+        assert r.denominator.degree == 1 and abs(-r.denominator.coefficients[0] - (1.0 + d)) < 1e-8
+        assert np.allclose(r.numerator.coefficients, [-2.0, 1.0])
+        assert {self.cancels(num, den, k) for k in range(-6, 7)} == {True}
+
+    def test_shared_root_left_in_a_tight_merged_cluster(self):
+        # the known limit of the rule: at d = 2e-8 the member root at 1 is found only to
+        # about 1e-15 / d, and N is above the 1e-9 bound there, so the pair stays whole
+        # and its double pole is reported; of 31 d spaced evenly in log from 1e-9 to 1e-6,
+        # 1.6e-8, 2e-8 and 3.2e-8 behave so
+        num, den = (np.polynomial.polynomial.polyfromroots(roots) for roots in ([1.0, 2.0], [1.0, 1.0 + 2e-8]))
+        r = RationalFunction(Polynomial(num), Polynomial(den))
+        assert (r.numerator.degree, r.denominator.degree) == (2, 2)
+        assert [m for _, m, _ in denominator_poles(r)] == [2]
+
+    def test_cluster_of_high_count_is_centred(self):
+        # B^(199) of z^200 has coefficients past the largest double; B^(199) / 199! has not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = RationalFunction(poly(1), Polynomial.monomial(200))
+            assert denominator_poles(r) == [(0j, 200, denominator_poles(r)[0][2])]
+
     # whether a common factor is divided out; z -> 2^k z scales coefficient i by 2^(-k i), exactly
     @staticmethod
     def cancels(num, den, k):
@@ -183,6 +222,16 @@ class TestArrayQuotient:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteValueError, match=r"overflows at \(1e\+308\+1e\+308j\)"):
                 f(z)
+
+    def test_overflow_against_a_value_of_modulus_at_most_one(self):
+        # 1 / z^200 at 100 is below 1e-400, z^200 / (z - 1000) at 1000.5 above 1e600:
+        # 0 and the point at infinity; 1e300 / z^200 at 100 is 1e-100, undecided
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert RationalFunction(poly(1), Polynomial.monomial(200))(np.array([100.0]))[0] == 0
+            assert not np.isfinite(RationalFunction(Polynomial.monomial(200), poly(-1000, 1))(np.array([1000.5]))).any()
+            with pytest.raises(NonFiniteValueError, match=r"overflows at \(100\+0j\)"):
+                RationalFunction(poly(1e300), Polynomial.monomial(200))(np.array([100.0]))
 
     def test_infinity_and_poles_keep_their_values(self):
         f = RationalFunction(poly(1, math.pi), poly(-2, 1))
