@@ -149,8 +149,9 @@ class TestRationalNormalize:
         assert {self.cancels(num, den, k) for k in range(-6, 7)} == {True}
 
     def test_shared_root_left_in_a_tight_merged_cluster(self):
-        # the known limit of the rule: at d = 2e-8 the member root at 1 is found only to
-        # about 1e-15 / d, and N is above the 1e-9 bound there, so the pair stays whole
+        # the known limit of the rule: rounding D's coefficients moves two roots 2e-8 apart
+        # by up to about sqrt(eps) (here to a complex pair 1.8e-8 from 1), and N is above
+        # the 1e-9 bound at both, so the pair stays whole
         # and its double pole is reported; of 31 d spaced evenly in log from 1e-9 to 1e-6,
         # 1.6e-8, 2e-8 and 3.2e-8 behave so
         num, den = (np.polynomial.polynomial.polyfromroots(roots) for roots in ([1.0, 2.0], [1.0, 1.0 + 2e-8]))
