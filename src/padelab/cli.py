@@ -336,30 +336,12 @@ def cmd_universality(args, config) -> int:
         args.s,
         max_degree=args.max_degree,
         tol=args.tol,
-        max_derivative_order=args.ell_max,
     )
     cert = result.certificate
     _write_text(json.dumps(cert.to_data(), indent=2, default=_json_default) + "\n", args.out)
     if args.csv_out:
-        rows = [
-            {
-                "center": r.center,
-                "hankel_abs": abs(r.hankel),
-                "normal": r.normal,
-                "margin_on_K": r.margin_on_k,
-                "margin_on_Delta": r.margin_on_delta,
-                "chordal_sup_on_K": r.chordal_sup_on_k,
-                "max_derivative_sup": max(r.derivative_sups),
-            }
-            for r in cert.records
-        ]
-        emit_report(
-            rows,
-            ["center", "hankel_abs", "normal", "margin_on_K", "margin_on_Delta",
-             "chordal_sup_on_K", "max_derivative_sup"],
-            "csv",
-            args.csv_out,
-        )
+        rows = [{"center": r.center, "hankel_abs": abs(r.hankel), "normal": cert.all_normal} for r in cert.records]
+        emit_report(rows, ["center", "hankel_abs", "normal"], "csv", args.csv_out)
     return EXIT_OK
 
 
@@ -479,7 +461,6 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=int, default=10)
     p.add_argument("--max-degree", type=int, default=40)
     p.add_argument("--tol", type=float, default=0.05)
-    p.add_argument("--ell-max", type=int, default=3)
     p.add_argument("--out", default=None)
     p.add_argument("--csv-out", default=None)
     p.set_defaults(func=cmd_universality)

@@ -7,12 +7,12 @@ This module turns existence arguments into checkable computations:
   compact set and prescribed derivative values on another, in one
   orthonormal Arnoldi basis on those rows.  Success is gated by refined
   samples; infeasibility is reported with the best residual.
-* :func:`universality_certificate` -- builds the Pade approximant at every
-  sampled center, then measures all of them in one pass over
-  (center, point) arrays: the normality witnesses, common-zero margins,
-  chordal sup against a target on one sample and derivative sups against
-  the function itself on another, aggregated into the two membership
-  flags.
+* :func:`universality_certificate` -- certifies a rational function at its
+  own type, where it is its own Pade approximant at every regular center:
+  normality at every center from one coprimality test and the resultant
+  identity for the Hankel values, no approximant built.  The common-zero
+  margins and the chordal sup against a target are measured once, on the
+  function itself, and aggregated into the two membership flags.
   :func:`universality_pipeline` certifies a fit plus the target's singular
   part once, at its own type, which the coefficient trim fixes.
 * :func:`principal_parts` / :func:`residue_correction` -- pole-local
@@ -38,30 +38,29 @@ import numpy as np
 
 from .domains import CirclePath, checked_disc, moment_integrand, path_integral
 from .errors import (
-    DegeneratePadeError,
+    CertificateRejectedError,
     FitFailureError,
     InvalidSampleError,
-    PerturbationDegenerateError,
     PoleNotInListError,
     PoleOnBoundaryError,
     PreconditionError,
     VerificationError,
 )
-from .pade import _common_zero_values, _extended_values, normality, pade_construct
 from .samples import CompactSample
 from .series import (
     Polynomial,
     PowerSeries,
     RationalFunction,
-    _derivative_values,
     _factor_order,
     _horner,
-    modulus,
-    _stacked,
+    _recentered_off_pole,
+    _rounding_bound,
     _synthetic_division,
+    _taylor_moduli,
     array_quotient,
     denominator_poles,
     derivative_values,
+    modulus,
     taylor_of_rational,
     values_on,
 )
@@ -221,36 +220,34 @@ def _verify_on_refined(poly, k_sample, k_target, l_sample, l_orders, fallback: f
 class CenterRecord:
     center: complex
     hankel: complex
-    normal: bool
-    margin_on_k: float
-    margin_on_delta: float
-    chordal_sup_on_k: float
-    derivative_sups: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class UniversalityCertificate:
     """Measured quantities behind the two approximation-set memberships.
 
-    ``e_set_member`` requires: normality at every sampled center, the
-    no-common-zero condition on K, and chordal sup against the target
-    below 1/s.  ``t_set_member`` requires: normality, the no-common-zero
-    condition on the derivative sample, and every measured derivative sup
-    below 1/s.
+    ``e_set_member`` requires: normality at every sampled center, a K
+    sample clear of a common zero of the pair, and chordal sup against the
+    target below 1/s.  ``t_set_member`` requires: normality and a clear
+    derivative sample; the derivative errors are 0, since the approximant
+    at every center is the function itself.  A margin is 0.0 where its
+    sample is not clear.
     """
 
     p: int
     q: int
     s: int
     sup_chordal_on_k: float
-    sup_derivative_errors: tuple[float, ...]
-    hankel_values: tuple[complex, ...]
+    margin_on_k: float
+    margin_on_delta: float
     all_normal: bool
-    e_condition_on_k: bool
-    e_condition_on_delta: bool
     e_set_member: bool
     t_set_member: bool
     records: tuple[CenterRecord, ...]
+
+    @property
+    def hankel_values(self) -> tuple[complex, ...]:
+        return tuple(r.hankel for r in self.records)
 
     def to_data(self) -> dict:
         return {
@@ -258,136 +255,142 @@ class UniversalityCertificate:
             "q": self.q,
             "s": self.s,
             "sup_chordal_on_K": self.sup_chordal_on_k,
-            "sup_derivative_errors_on_Delta": list(self.sup_derivative_errors),
+            "margin_on_K": self.margin_on_k,
+            "margin_on_Delta": self.margin_on_delta,
             "hankel_values_over_L": [[h.real, h.imag] for h in self.hankel_values],
             "e_set_member": self.e_set_member,
             "t_set_member": self.t_set_member,
         }
 
 
-def _check_orders(s: int, max_derivative_order: int | None):
-    """The certificate's preconditions on s and the derivative order."""
+def _check_s(s: int):
     if s < 1:
         raise PreconditionError(f"s must be at least 1, got {s}")
-    if max_derivative_order is not None and max_derivative_order < 0:
-        raise PreconditionError(
-            f"max_derivative_order must be non-negative, got {max_derivative_order}"
-        )
+
+
+def _resultant_over_clusters(f: RationalFunction) -> tuple[bool, complex]:
+    """Whether N is certified to have no root on any cluster disc of D, and the
+    product of N(c)^m over the clusters (c, m, r) of :func:`denominator_poles`.
+
+    Pellet's theorem with no root counted: N has no root in |z - c| <= r when
+    |N_0| > sum_(j >= 1) |N_j| r^j, N_j the Taylor coefficients of N at c, each
+    |N_j| at its rounding bound on the unfavourable side
+    (``series._taylor_moduli``, which the disc radii of the clusters use).
+    The discs hold every root of D, so where the test passes at every cluster
+    N and D are coprime.  Both sides are terms of one degree in z, so rescaling
+    z does not move the verdict.  The product stands for prod_j N(beta_j)
+    over the roots of D; it is exact for simple and for true multiple roots.
+    """
+    coprime, values, counts = True, [], []
+    for centre, count, radius in denominator_poles(f):
+        taylor, lower, upper = _taylor_moduli(f.numerator, centre)
+        try:  # a float power past the largest double raises OverflowError
+            rest = sum(u * radius**j for j, u in enumerate(upper.tolist()[1:], start=1))
+        except OverflowError:
+            rest = math.inf
+        coprime = coprime and bool(lower[0] > rest)
+        values.append(taylor[0])
+        counts.append(count)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return coprime, complex(np.prod(np.array(values, dtype=complex) ** np.array(counts)))
+
+
+def _clearance(f: RationalFunction, points: np.ndarray) -> float:
+    """The least over the points of the larger of |N(z)| and |D(z)|, each in
+    units of the bound on its rounding (``series._rounding_bound`` of the
+    moduli sum sum_j |c_j| |z - centre|^j); 0.0 unless above 1, that is unless
+    N or D is certified non-zero at every point, so that f(z) is decided.
+    Both sides are terms of one degree in z, so rescaling z keeps the bits."""
+    w = modulus(points - f.center)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        units = [
+            modulus(p(points)) / _rounding_bound(len(p.coefficients), _horner(np.abs(p.coefficients), 0.0, w).real)
+            for p in (f.numerator, f.denominator)
+        ]
+        least = float(np.min(np.fmax(*units)))
+    return least if least > 1.0 else 0.0
 
 
 def universality_certificate(
-    f,
+    f: RationalFunction,
     centers: CompactSample,
     k_sample: CompactSample,
     delta_sample: CompactSample,
     target,
-    p: int,
-    q: int,
     s: int,
-    max_derivative_order: int | None = None,
 ) -> UniversalityCertificate:
-    """Certificate for membership in the two approximation sets.
+    """Certificate for membership in the two approximation sets, at f's own type.
 
-    ``f`` must expose ``taylor_at(center, order)`` and its ``numerator``
-    and ``denominator`` polynomials (a RationalFunction does); ``target``
-    is evaluated once on the array of K points (see
-    :func:`padelab.series.values_on`) and compared through the chordal
-    metric.  At every center the (p, q) approximant is built from the
-    local Taylor series.  Derivative errors compare the approximant's
-    derivatives against f's for orders 0..max_derivative_order (default
-    s), both by the Leibniz recurrence of
-    :func:`padelab.series.derivative_values`: the approximant's from its
-    numerator and denominator as built, f's once per certificate.
+    f = N/D is a RationalFunction, so D is monic; it is certified at type
+    (m, n), m = deg N (0 for N = 0) and n = deg D.  ``target`` is evaluated
+    once on the array of K points (see :func:`padelab.series.values_on`) and
+    compared through the chordal metric.
 
-    The approximants are built one after another in sample order.  They
-    are then evaluated together, as ``(centers, points)`` arrays with the
-    bits of a per-center evaluation, and every margin and sup is a
-    reduction along the point axis.  A tie in a reduction goes to the
-    first point, so the certificate is deterministic.  A center whose
-    construction is degenerate records a rejecting row.
+    With beta_j the roots of D, the Taylor coefficients a_k of f at a centre
+    zeta where D(zeta) != 0 give the (m, n) Hankel value of
+    :func:`padelab.pade.hankel_determinant`
+
+        H(zeta) = (-1)^(n(n-1)/2 + mn) prod_j N(beta_j) / D(zeta)^(m+n),
+
+    the determinant form of Kronecker's theorem (Baker & Graves-Morris, *Pade
+    Approximants*, 2nd ed., CUP 1996).  For simple roots, with u_j = 1 /
+    (beta_j - zeta) and residues r_j = N(beta_j) / D'(beta_j), a_k = -sum_j
+    r_j u_j^(k+1) at every index k >= m - n + 1 of the Hankel window: the
+    polynomial part of f reaches only k <= m - n, and at a negative index,
+    when m < n - 1, the sum is a sum of residues of N(z) (z - zeta)^i / D(z)
+    with m + i <= n - 2, which is 0 like the window's entry.  So H = det(V^T
+    diag(-r_j u_j^(m-n+2)) V) with V_jk = u_j^(k-1), that is (-1)^n prod_j
+    r_j u_j^(m-n+2) times det(V)^2 = disc(D) prod_j u_j^(2n-2).  As prod_j
+    D'(beta_j) = (-1)^(n(n-1)/2) disc(D) and prod_j u_j = (-1)^n / D(zeta),
+    the sign is (-1)^(n + n(n-1)/2 + n(m+n)), and n + n(m+n) = mn + n(n+1)
+    has the parity of mn.  Both sides are continuous in the roots, so
+    multiple roots follow.
+
+    So where N and D are coprime, H(zeta) != 0 at every such centre: f is
+    normal there, and by the uniqueness of the Pade approximant it is its own
+    (m, n) approximant.  Coprimality is decided once, by the Pellet test of N
+    on each cluster disc of D (:func:`_resultant_over_clusters`); where it
+    fails, no center counts as normal.  Each record carries H(zeta) from
+    the identity, with prod_j N(beta_j) taken as prod N(c)^m over the
+    clusters; in double it may overflow or underflow, and no verdict reads
+    it.  A center where D nearly vanishes raises PoleAtCenterError, as the
+    Taylor expansion there does.
+
+    Since every approximant is f, the chordal sup on K is f's own, evaluated
+    once, and the derivative errors on the derivative sample are 0.  The
+    margins (:func:`_clearance`) are measured once, on f's pair; where the K
+    margin is not clear the sup is recorded as ``inf``, so the certificate
+    rejects instead of raising.
     """
-    _check_orders(s, max_derivative_order)
+    _check_s(s)
     if min(len(centers), len(k_sample), len(delta_sample)) == 0:
         raise InvalidSampleError("empty sample")
-    ell_max = s if max_derivative_order is None else max_derivative_order
-    k_points, delta_points = k_sample.points, delta_sample.points
-    target_on_k = values_on(target, k_points)
+    p, q = max(f.numerator.degree, 0), f.denominator.degree
+    coprime, resultant = _resultant_over_clusters(f)
+    at_centers = np.array([
+        _recentered_off_pole(f.denominator, complex(zeta)).coefficients[0] for zeta in centers.points
+    ])
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        hankel = (-1) ** (q * (q - 1) // 2 + p * q) * resultant / at_centers ** (p + q)
 
-    records, approximants = [], []
-    for zeta in centers.points:
-        series = f.taylor_at(zeta, p + q)
-        try:
-            approximants.append(pade_construct(series, p, q))
-            records.append(None)
-        except DegeneratePadeError:
-            records.append(CenterRecord(
-                complex(zeta), normality(series, p, q).determinant, False, 0.0, 0.0, math.inf,
-                tuple([math.inf] * (ell_max + 1)),
-            ))
-    if approximants:
-        measured = iter(_measured_records(f, approximants, k_points, delta_points, target_on_k, ell_max))
-        records = [next(measured) if r is None else r for r in records]
-
-    all_normal = all(r.normal for r in records)
-    e_on_k = all(r.margin_on_k > 0 for r in records)
-    e_on_delta = all(r.margin_on_delta > 0 for r in records)
-    sup_chordal_k = float(max(r.chordal_sup_on_k for r in records))
-    deriv_sups = tuple(
-        float(max(r.derivative_sups[ell] for r in records)) for ell in range(ell_max + 1)
-    )
+    k_points = k_sample.points
+    margin_k, margin_delta = _clearance(f, k_points), _clearance(f, delta_sample.points)
+    sup_chordal_k = math.inf
+    if margin_k > 0:
+        sup_chordal_k = float(np.max(chordal_array(f(k_points), values_on(target, k_points))))
     threshold = 1.0 / s
     return UniversalityCertificate(
         p=p,
         q=q,
         s=s,
         sup_chordal_on_k=sup_chordal_k,
-        sup_derivative_errors=deriv_sups,
-        hankel_values=tuple(complex(r.hankel) for r in records),
-        all_normal=all_normal,
-        e_condition_on_k=e_on_k,
-        e_condition_on_delta=e_on_delta,
-        e_set_member=bool(all_normal and e_on_k and sup_chordal_k < threshold),
-        t_set_member=bool(
-            all_normal and e_on_delta and all(d < threshold for d in deriv_sups)
-        ),
-        records=tuple(records),
+        margin_on_k=margin_k,
+        margin_on_delta=margin_delta,
+        all_normal=coprime,
+        e_set_member=bool(coprime and margin_k > 0 and sup_chordal_k < threshold),
+        t_set_member=bool(coprime and margin_delta > 0),
+        records=tuple(CenterRecord(complex(z), complex(h)) for z, h in zip(centers.points, hankel)),
     )
-
-
-def _measured_records(f, approximants, k_points, delta_points, target_on_k, ell_max):
-    """The records of C approximants of f, measured in one pass over all of them.
-
-    Their numerators and denominators are stacked as zero-padded rows, so
-    every value is a ``(C, P)`` array with the bits of the per-approximant
-    evaluation, and every margin and sup is a reduction along the point
-    axis.  f's derivatives are one more row of the stack.
-    """
-    num, centers = _stacked([approx.numerator for approx in approximants] + [f.numerator])
-    den, _ = _stacked([approx.denominator for approx in approximants] + [f.denominator])
-    scales = np.array([[approx.scale()] for approx in approximants])
-    k = len(k_points)
-    points = np.concatenate([k_points, delta_points])
-    a, b = _horner(num[:-1], centers[:-1], points), _horner(den[:-1], centers[:-1], points)
-    values, threshold = _common_zero_values(scales, a, b)
-    # a margin is positive exactly where its sample is clear of a common zero
-    margin_k, margin_delta = (
-        np.where(least > threshold[:, 0], least, 0.0)
-        for least in (values[:, :k].min(axis=1), values[:, k:].min(axis=1))
-    )
-    # evaluation raises exactly where the K margin is not clear; record a rejecting sup
-    clear = margin_k > 0
-    chordal_sup = np.full(len(approximants), math.inf)
-    on_k = _extended_values(k_points, a[clear, :k], b[clear, :k], values[clear, :k], threshold[clear])
-    chordal_sup[clear] = np.max(chordal_array(on_k, target_on_k), axis=1)
-    derivs = _derivative_values(num, den, centers, delta_points, ell_max)
-    deriv_sups = np.array([np.max(modulus(d[:-1] - d[-1]), axis=1) for d in derivs])
-    return [
-        CenterRecord(
-            approx.center, approx.hankel_value, approx.normal, float(margin_k[c]),
-            float(margin_delta[c]), float(chordal_sup[c]), tuple(deriv_sups[:, c]),
-        )
-        for c, approx in enumerate(approximants)
-    ]
 
 
 @dataclass(frozen=True)
@@ -410,15 +413,14 @@ def universality_pipeline(
     s: int,
     max_degree: int = 40,
     tol: float = 0.05,
-    max_derivative_order: int = 3,
 ) -> PipelineResult:
     """Construct a function certified to lie in both approximation sets.
 
     Splits off the target's singular part mu = N/D inside the K region,
     fits a polynomial p to (target - mu) on K jointly with (smooth target -
     mu) and its derivative on the center grid, and certifies
-    (N + p D)/D once, at type (numerator degree, denominator degree); a
-    rejection raises PerturbationDegenerateError.  D is monic and coprime
+    (N + p D)/D once, at its own type (numerator degree, denominator
+    degree); a rejection raises CertificateRejectedError.  D is monic and coprime
     to N by construction (:func:`principal_parts`), and so to N + p D: the
     sum is formed over D and is not normalized.  mu' on the grid comes from
     :func:`padelab.series.derivative_values`.
@@ -427,10 +429,10 @@ def universality_pipeline(
     the coefficient trim (``series.TRIM_RTOL``) already fixes its type (the
     README gives the measurement).
 
-    ``smooth_target`` is a Polynomial.  ``s`` and ``max_derivative_order``
-    are checked as the certificate checks them, before the fit.
+    ``smooth_target`` is a Polynomial.  ``s`` is checked as the certificate
+    checks it, before the fit.
     """
-    _check_orders(s, max_derivative_order)
+    _check_s(s)
     mu = principal_parts(target, (k_region_center, k_region_radius))
     smooth_prime = smooth_target.derivative()
 
@@ -448,14 +450,10 @@ def universality_pipeline(
     )
 
     function = RationalFunction(mu.numerator + fitted * mu.denominator, mu.denominator, _normalized=True)
-    certificate = universality_certificate(
-        function, centers, k_sample, delta_sample, target,
-        function.numerator.degree, function.denominator.degree, s,
-        max_derivative_order=max_derivative_order,
-    )
+    certificate = universality_certificate(function, centers, k_sample, delta_sample, target, s)
     if not (certificate.e_set_member and certificate.t_set_member):
-        raise PerturbationDegenerateError(
-            "no perturbation size satisfied the certificate; last certificate: "
+        raise CertificateRejectedError(
+            "the certificate rejected the fit; "
             f"e_set={certificate.e_set_member} t_set={certificate.t_set_member}"
         )
     return PipelineResult(function, fitted, mu, certificate, report)

@@ -88,12 +88,8 @@ class FitFailureError(NumericError):
         self.best_degree = best_degree
 
 
-class PerturbationDegenerateError(NumericError):
-    """The universality certificate rejected the fit.
-
-    Name and message date from the exact-degree perturbation; they stay
-    while the benchmark's two-pole failure signature matches the message.
-    """
+class CertificateRejectedError(NumericError):
+    """The universality certificate rejected the fit."""
 
 
 class QuadratureError(NumericError):

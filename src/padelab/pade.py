@@ -33,6 +33,10 @@ sample at once, with the same values bit for bit as a point-by-point loop;
 :func:`evaluate_extended` is the one-point wrapper.  Both apply one rule: a
 point is clear of a common zero when ``|A|^2 + |B|^2 > (COMMON_ZERO_RTOL *
 s)^2``, s the coefficient scale; evaluation raises exactly where it is not.
+Each takes one approximant.  The universality certificate builds none: a
+rational at its own type is its own approximant at every regular center
+(:func:`padelab.construct.universality_certificate`), so it measures the
+rational itself.
 """
 
 from __future__ import annotations
@@ -249,14 +253,10 @@ class CommonZeroMargin:
         return self.clear
 
 
-def _common_zero_values(scale, a: np.ndarray, b: np.ndarray):
+def _common_zero_values(scale: float, a: np.ndarray, b: np.ndarray):
     """``|A|^2 + |B|^2`` at the values ``a``, ``b`` of a pair, and the
     threshold ``(COMMON_ZERO_RTOL * s)^2`` that a point clear of a common
-    zero exceeds, s the pair's coefficient scale.
-
-    For C pairs, ``a`` and ``b`` are ``(C, P)`` and ``scale`` is ``(C, 1)``:
-    one threshold per row.
-    """
+    zero exceeds, s the pair's coefficient scale."""
     return square(modulus(a)) + square(modulus(b)), square(COMMON_ZERO_RTOL * scale)
 
 
@@ -276,31 +276,21 @@ def common_zero_margin(approx: PadeApproximant, sample: CompactSample) -> Common
     return CommonZeroMargin(best, threshold, complex(points[i]), best > threshold)
 
 
-def _extended_values(z, a: np.ndarray, b: np.ndarray, values: np.ndarray, threshold) -> np.ndarray:
-    """A/B, or ``inf`` where B is exactly zero, from the values of
-    :func:`_common_zero_values` (one pair, or rows of pairs at points ``z``).
-
-    Raises IndeterminateValueError, naming the first point in row order that
-    is not clear of a common zero.
-    """
-    indeterminate = ~(values > threshold)
-    if indeterminate.any():
-        bad = np.broadcast_to(z, values.shape).flat[np.argmax(indeterminate)]
-        raise IndeterminateValueError(f"numerator and denominator both vanish at {bad}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(b == 0, math.inf, a / b)
-
-
 def evaluate_extended_array(approx: PadeApproximant, z: np.ndarray) -> np.ndarray:
     """Values on the extended plane at every point of ``z``: A/B, or ``inf``
     where B is exactly zero.
 
-    Raises IndeterminateValueError, naming the first such point, where a
-    point is not clear of a common zero, by the rule of
-    :func:`common_zero_margin`.
+    Raises IndeterminateValueError, naming the first such point in the
+    order of ``z.flat``, where a point is not clear of a common zero, by the
+    rule of :func:`common_zero_margin`.
     """
     a, b = approx.numerator(z), approx.denominator(z)
-    return _extended_values(z, a, b, *_common_zero_values(approx.scale(), a, b))
+    values, threshold = _common_zero_values(approx.scale(), a, b)
+    indeterminate = ~(values > threshold)
+    if indeterminate.any():
+        raise IndeterminateValueError(f"numerator and denominator both vanish at {z.flat[np.argmax(indeterminate)]}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(b == 0, math.inf, a / b)
 
 
 def evaluate_extended(approx: PadeApproximant, z: complex) -> complex:

@@ -24,21 +24,18 @@ All values are immutable after construction and safe to share across
 threads.  Working precision is ordinary binary floating point (~16
 significant digits).
 
-Evaluation takes a point or an ndarray of points.  A point runs the scalar
-Horner loop of ``Polynomial.__call__``; an ndarray runs one Horner kernel
-over the whole array, in real arithmetic, and gives the same values bit for
-bit.  ``PowerSeries``, ``RationalFunction`` and the Pade approximant call
-through it.  :func:`modulus` and :func:`square` are the array forms of the
-scalar ``abs(z)`` and ``x ** 2`` with the same rounding,
-:func:`values_on` evaluates a callable or a constant on an array of points,
-and :func:`derivative_values` gives the derivatives of a quotient of
-polynomials on an array by the Leibniz rule, without forming them.
-
-The Horner kernel and the Leibniz recurrence also take a leading centre
-axis: C coefficient rows about C centres (:func:`_stacked`, zero-padded to
-one length) at P points give ``(C, P)`` values, each row with the bits of
-its own evaluation.  The universality certificate evaluates the Pade
-approximants of all its centres this way, in one pass.
+Evaluation takes a point or an ndarray of points.  A polynomial at a point
+runs the scalar Horner loop of ``Polynomial.__call__``; an ndarray runs one
+Horner kernel over the whole array, in real arithmetic, and gives the same
+values bit for bit.  ``PowerSeries`` calls through it.  A rational (and the
+Pade approximant, which shares its method) evaluates a point as a one-point
+array through :func:`array_quotient`, so a point and an array agree bit for
+bit and an overflow raises the same NonFiniteValueError.  :func:`modulus`
+and :func:`square` are the array forms of the scalar ``abs(z)`` and ``x **
+2`` with the same rounding, :func:`values_on` evaluates a callable or a
+constant on an array of points, and :func:`derivative_values` gives the
+derivatives of a quotient of polynomials on an array by the Leibniz rule,
+without forming them.
 
 The Taylor shift (:func:`_synthetic_division`) and the Taylor recurrence
 loop over lists of Python ``complex`` values, which round as NumPy's complex
@@ -75,53 +72,26 @@ FACTOR_RTOL = 1e-9
 POLE_RTOL = 1e-12
 
 
-def _trimmed_lengths(coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Length of each coefficient row (the last axis) once the trailing
-    coefficients with ``|c| <= TRIM_RTOL * max |c|`` of the row are dropped,
-    0 for a zero row; and that ``max |c|`` of each row."""
+def _trimmed_length(coefficients: np.ndarray) -> tuple[int, float]:
+    """Length of the coefficients once the trailing ones with ``|c| <=
+    TRIM_RTOL * max |c|`` are dropped, 0 when all are zero; and that ``max |c|``."""
     mags = np.abs(coefficients)
-    scale = mags.max(-1)
-    kept = mags > TRIM_RTOL * scale[..., None]
-    return (coefficients.shape[-1] - kept[..., ::-1].argmax(-1)) * (scale > 0), scale
-
-
-def _trimmed_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row trimmed as the ``Polynomial`` constructor trims its
-    coefficients, and zero-padded back to the common length.
-
-    Horner evaluation of a zero-padded row gives the bits of the trimmed
-    row: a leading zero coefficient leaves the accumulator at ``+0``.
-    """
-    return np.where(np.arange(rows.shape[-1]) < _trimmed_lengths(rows)[0][..., None], rows, 0)
+    scale = mags.max()
+    kept = mags > TRIM_RTOL * scale
+    return (len(coefficients) - kept[::-1].argmax()) * (scale > 0), scale
 
 
 def _differentiated(coefficients: np.ndarray, order: int) -> np.ndarray:
-    """Coefficients of the order-th derivative of each row (the last axis),
-    untrimmed."""
+    """Coefficients of the order-th derivative, untrimmed."""
     for _ in range(order):
-        if coefficients.shape[-1] == 1:
+        if len(coefficients) == 1:
             return np.zeros_like(coefficients)
-        coefficients = coefficients[..., 1:] * np.arange(1, coefficients.shape[-1])
+        coefficients = coefficients[1:] * np.arange(1, len(coefficients))
     return coefficients
-
-
-def _stacked(polynomials) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient rows ``(C, n+1)`` of C polynomials, zero-padded to a
-    common length, and their centres ``(C,)``: the centre axis that
-    :func:`_horner` and :func:`_derivative_values` take."""
-    rows = np.zeros((len(polynomials), max(len(p.coefficients) for p in polynomials)), dtype=complex)
-    for row, poly in zip(rows, polynomials):
-        row[: len(poly.coefficients)] = poly.coefficients
-    return rows, np.array([p.center for p in polynomials], dtype=complex)
 
 
 def _horner(coefficients: np.ndarray, center, z: np.ndarray) -> np.ndarray:
     """Horner evaluation of ``sum c_k (z - center)^k`` at every point of ``z``.
-
-    Coefficients ``(n+1,)`` about one centre give values of the shape of
-    ``z``.  Coefficients ``(C, n+1)`` about centres ``(C,)``, at points
-    ``(P,)``, give ``(C, P)``: row r is polynomial r, with the bits of its own
-    evaluation without the centre axis.
 
     The complex product is written out in real and imaginary parts, in the
     order of the scalar complex multiply, and the sum starts from zero as
@@ -129,12 +99,8 @@ def _horner(coefficients: np.ndarray, center, z: np.ndarray) -> np.ndarray:
     multiply may fuse or reorder that arithmetic, so the two agree bit for
     bit only in this form.
     """
-    if coefficients.ndim == 2:
-        w = z - center[:, None]
-        cr, ci = coefficients.real.T[::-1, :, None], coefficients.imag.T[::-1, :, None]
-    else:
-        w = z - center
-        cr, ci = coefficients.real[::-1].tolist(), coefficients.imag[::-1].tolist()
+    w = z - center
+    cr, ci = coefficients.real[::-1].tolist(), coefficients.imag[::-1].tolist()
     wr, wi = w.real.copy(), w.imag.copy()
     ar = np.zeros(w.shape)
     ai = np.zeros(w.shape)
@@ -205,32 +171,17 @@ def derivative_values(
     entries without a warning.
     """
     numerator._check_center(denominator)
-    return _derivative_values(
-        numerator.coefficients, denominator.coefficients, numerator.center, z, order
-    )
-
-
-def _derivative_values(numerator, denominator, center, z, order: int) -> list[np.ndarray]:
-    """The recurrence of :func:`derivative_values` on coefficient arrays:
-    one pair about one centre, or pairs of rows about centres ``(C,)`` at
-    points ``(P,)``, giving ``(C, P)`` values per order (see :func:`_horner`)."""
-
-    def derivative_at_points(coefficients, k):
-        return _horner(_trimmed_rows(_differentiated(coefficients, k)), center, z)
-
-    num_derivs = [derivative_at_points(numerator, k) for k in range(order + 1)]
-    degree = _trimmed_lengths(denominator)[0] - 1
-    # D^(k) vanishes for k > deg D, so those terms are left out of the sum, row
-    # by row: where a row's values are infinite, 0 * inf would add NaN
-    top = min(order, max(int(np.max(degree)), 0))
-    den_derivs = [derivative_at_points(denominator, k) for k in range(top + 1)]
+    num_derivs = [numerator.derivative(k)(z) for k in range(order + 1)]
+    # D^(k) vanishes for k > deg D, so those terms are left out of the sum:
+    # where the values are infinite, 0 * inf would add NaN
+    top = min(order, max(denominator.degree, 0))
+    den_derivs = [denominator.derivative(k)(z) for k in range(top + 1)]
     values = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for ell in range(order + 1):
             acc = num_derivs[ell]
             for k in range(1, min(ell, top) + 1):
-                term = acc - _product(math.comb(ell, k) * den_derivs[k], values[ell - k])
-                acc = term if np.all(degree >= k) else np.where((degree >= k)[:, None], term, acc)
+                acc = acc - _product(math.comb(ell, k) * den_derivs[k], values[ell - k])
             values.append(acc / den_derivs[0])
     return values
 
@@ -242,7 +193,7 @@ class Polynomial:
 
     def __init__(self, coefficients, center: complex = 0.0):
         coefficients = np.array(coefficients, dtype=complex, ndmin=1)
-        length, scale = _trimmed_lengths(coefficients) if coefficients.size else (0, 0.0)
+        length, scale = _trimmed_length(coefficients) if coefficients.size else (0, 0.0)
         # |c| overflows for some finite c, so an infinite max only calls for the full check
         if not scale < math.inf and not np.isfinite(coefficients).all():
             raise ValueError("coefficients must be finite")
@@ -461,28 +412,47 @@ def _root_clusters(den: Polynomial) -> tuple[list[tuple[complex, int, float]], l
     return clusters, members
 
 
+def _taylor_moduli(poly: Polynomial, point: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Taylor coefficients beta_k of ``poly`` at a point, and lower and upper
+    bounds on their moduli.
+
+    The beta_k come from the synthetic division that ``Polynomial.recentered``
+    runs, and each |beta_k| is widened by a bound on its rounding, which sums
+    binomial(j, k) |b_j| |shift|^(j-k) over the coefficients b_j of poly.  A
+    lower bound is NaN where both overflow.
+    """
+    coefficients, shift = poly.coefficients, point - poly.center
+    size = len(coefficients)
+    beta = _synthetic_division(coefficients, shift, size)[1]
+    # the same division of the |b_j| at |shift| sums binomial(j, k) |b_j| |shift|^(j-k)
+    slack = _rounding_bound(size, _synthetic_division(np.abs(coefficients), abs(shift), size)[1].real)
+    with np.errstate(invalid="ignore"):
+        return beta, np.abs(beta) - slack, np.abs(beta) + slack
+
+
+def _rounding_bound(size: int, moduli_sum):
+    """A bound on the rounding of a Horner value, or a Taylor coefficient, of a
+    polynomial of ``size`` coefficients, from the same sum over their moduli."""
+    return 4.0 * size * sys.float_info.epsilon * moduli_sum
+
+
 def _root_disc_radius(den: Polynomial, pole: complex, mult: int) -> float:
     """A radius about a point within which lie exactly ``mult`` roots of ``den``.
 
     Pellet's theorem: with den = sum_k beta_k (z - pole)^k, whenever
     |beta_m| rho^m > sum_{k != m} |beta_k| rho^k exactly m roots lie in
-    |z - pole| < rho.  The beta_k come from the synthetic division that
-    ``Polynomial.recentered`` runs, and each |beta_k| is widened by a bound
-    on its rounding, which sums binomial(j, k) |b_j| |shift|^(j-k) over the
-    coefficients b_j of den.  Radii are tried from the low-order estimate
-    up in factors of 2; inf when none up to max(1, |pole|) qualifies, or
-    once rho or a term is no longer finite.  For m = deg den the first
-    radius tried qualifies (Fujiwara's bound).
+    |z - pole| < rho, with each |beta_k| taken at its bound on the
+    unfavourable side (:func:`_taylor_moduli`).  Radii are tried from the
+    low-order estimate up in factors of 2; inf when none up to max(1,
+    |pole|) qualifies, or once rho or a term is no longer finite.  For m =
+    deg den the first radius tried qualifies (Fujiwara's bound).
     """
-    coefficients, shift = den.coefficients, pole - den.center
-    size = len(coefficients)
-    beta = np.abs(_synthetic_division(coefficients, shift, size)[1])
-    # the same division of the |b_j| at |shift| sums binomial(j, k) |b_j| |shift|^(j-k)
-    slack = 4.0 * size * sys.float_info.epsilon * _synthetic_division(np.abs(coefficients), abs(shift), size)[1].real
-    upper = (beta + slack).tolist()
-    head = float(beta[mult] - slack[mult])
+    _, lower, upper = _taylor_moduli(den, pole)
+    size = len(upper)
+    upper = upper.tolist()
+    head = float(lower[mult])
     upper[mult] = 0.0
-    if head <= 0.0:
+    if not head > 0.0:
         return math.inf
     limit = max(1.0, abs(pole))
     rho = max(2.0 * max((upper[k] / head) ** (1.0 / (mult - k)) for k in range(mult)),
@@ -519,9 +489,10 @@ class RationalFunction:
         return self.numerator.center
 
     def __call__(self, z):
+        """The quotient at every point of an ndarray, or at a point as a one-point array."""
         if isinstance(z, np.ndarray):
             return array_quotient(self.numerator, self.denominator, z)
-        return self.numerator(z) / self.denominator(z)
+        return complex(array_quotient(self.numerator, self.denominator, np.array([complex(z)]))[0])
 
     def taylor_at(self, center: complex, order: int) -> "PowerSeries":
         return taylor_of_rational(self, center, order)
@@ -623,6 +594,15 @@ def partial_sum(series: PowerSeries, k: int) -> Polynomial:
     return Polynomial(series.coefficients[: k + 1], series.center)
 
 
+def _recentered_off_pole(denominator: Polynomial, center: complex) -> Polynomial:
+    """The denominator in powers of ``(z - center)``; PoleAtCenterError when its
+    value there is at most POLE_RTOL times its largest coefficient."""
+    den = denominator.recentered(center)
+    if abs(den.coefficients[0]) <= POLE_RTOL * den.coefficient_scale():
+        raise PoleAtCenterError(f"denominator vanishes at center {center}")
+    return den
+
+
 def taylor_of_rational(rational: RationalFunction, center: complex, order: int) -> PowerSeries:
     """Taylor coefficients of a rational function at a regular point.
 
@@ -632,10 +612,7 @@ def taylor_of_rational(rational: RationalFunction, center: complex, order: int) 
     """
     center = complex(center)
     num = rational.numerator.recentered(center).coefficients.tolist() + [0j] * order
-    den = rational.denominator.recentered(center)
-    b = den.coefficients.tolist()
-    if abs(b[0]) <= POLE_RTOL * den.coefficient_scale():
-        raise PoleAtCenterError(f"denominator vanishes at center {center}")
+    b = _recentered_off_pole(rational.denominator, center).coefficients.tolist()
     # a stays an array: a term of it makes acc NumPy's, whose division differs from Python's (a_0's) in the last bit
     a = np.zeros(order + 1, dtype=complex)
     for n in range(order + 1):

@@ -185,7 +185,7 @@ def test_criterion_5_universality_pipeline():
     grid = disc_grid_sample(0.0, 0.5, 9)
     result = universality_pipeline(
         target, smooth, k_sample, grid, grid, 2.0, 0.25, s=10,
-        max_degree=40, tol=0.05, max_derivative_order=3,
+        max_degree=40, tol=0.05,
     )
     cert = result.certificate
     f = result.function

@@ -208,6 +208,7 @@ class TestRootDiscRadius:
         ([1e300, 1e300], 1e10, 1),  # the terms at the pole overflow
         ([1.0, 0.0, 1.0], 1e200, 2),  # rho^2 is past the largest double
         ([1.0, 0.0, 1.0], 1e200, 1),
+        ([1.0, 0.0, 0.0, 1.0], 1e200, 1),  # the counted coefficient and its bound overflow: inf - inf
     ])
     def test_non_finite_terms_give_an_infinite_radius(self, coefficients, pole, mult):
         with warnings.catch_warnings():
