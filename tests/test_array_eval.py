@@ -154,7 +154,7 @@ class TestHornerKernel:
             den = Polynomial(random_coefficients(rng, int(rng.integers(0, 21))), center)
             yield num, den, center + 2.0 * complex_normal(rng, 57)
 
-    def test_rational_and_pade_points_match_array(self, rng):
+    def test_rational_and_pade_match_scalar_loop(self, rng):
         for num, den, points in self.random_pairs(rng, 40):
             r = RationalFunction(num, den)
             approx = PadeApproximant(0, 0, num.center, num, den, 1.0 + 0j, True)
@@ -368,3 +368,16 @@ class TestConstructArrays:
         grid = disc_grid_sample(0.0, 0.5, 3)
         with pytest.raises(PoleAtCenterError, match=r"^denominator vanishes at center \(0\.5\+0j\)$"):
             universality_certificate(f, centers, grid, grid, f, s=5)
+
+    def test_certificate_rejects_on_common_zero_in_k(self):
+        # (z - 1.5)(z + 2) / ((z - 1.5)(z - 3)), kept uncancelled: the common zero
+        # 1.5 of N and D is a point of K, a rejection and not an exception
+        root = [-1.5, 1.0]
+        f = RationalFunction(
+            Polynomial(np.convolve(root, [2.0, 1.0])), Polynomial(np.convolve(root, [-3.0, 1.0])), _normalized=True,
+        )
+        k = disc_grid_sample(1.5, 0.5, 3)
+        assert 1.5 in k.points
+        cert = universality_certificate(f, disc_grid_sample(0.0, 0.3, 3), k, circle_sample(0.0, 0.3, 8), f, s=5)
+        assert cert.margin_on_k == 0.0 and cert.sup_chordal_on_k == math.inf and cert.margin_on_delta > 0.0
+        assert not cert.all_normal and not cert.e_set_member and not cert.t_set_member
