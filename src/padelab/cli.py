@@ -45,7 +45,7 @@ from .domains import CirclePath, DiscDomain, DomainSpec, moment_test
 from .errors import NumericError, PadeLabError, PreconditionError
 from .pade import pade_construct
 from .samples import CompactSample, circle_sample, disc_grid_sample, segment_sample
-from .series import Polynomial, RationalFunction, modulus, partial_sum, series_builtin
+from .series import Polynomial, RationalFunction, modulus, partial_sum, series_builtin, values_on
 from .sphere import chordal, rationalize_coefficients, sup_chordal
 
 EXIT_OK = 0
@@ -311,10 +311,12 @@ def cmd_chordal(args, config) -> int:
 def cmd_rationalize(args, config) -> int:
     rational = resolve_rational(args.rational, config)
     sample = resolve_sample(args.sample, config)
-    rows = []
+    rows, exact = [], None
     for bits in args.bits:
         rounded = rationalize_coefficients(rational, bits)
-        sup = sup_chordal(rational, rounded, sample)
+        if exact is None:  # after the first rounding, whose errors come first
+            exact = values_on(rational, sample.points)
+        sup = sup_chordal(exact, rounded, sample)
         rows.append({"bits": bits, "sup_chordal": sup.value, "mesh": sup.mesh})
     emit_report(rows, ["bits", "sup_chordal", "mesh"], args.format, args.out)
     return EXIT_OK
@@ -361,9 +363,9 @@ def cmd_cascade(args, config) -> int:
     grid = (radii[:, None] * np.exp(1j * angles)).ravel()
     m = domain.path_budget
     rows = []
-    level = cascade
+    level, reference = cascade, np.exp(grid)
     for k in range(0, n + 1):
-        sup_err = np.max(modulus(level(grid) - np.exp(grid)))
+        sup_err = np.max(modulus(level(grid) - reference))
         bound = args.eps / (m + 1.0) ** k
         rows.append({"k": k, "sup_error": float(sup_err), "bound": bound,
                      "within": bool(sup_err < bound)})

@@ -53,6 +53,7 @@ from .series import (
     RationalFunction,
     _factor_order,
     _horner,
+    _quotient,
     _recentered_off_pole,
     _rounding_bound,
     _synthetic_division,
@@ -138,7 +139,13 @@ def two_set_poly_fit(
     the constraint rows determine, if lower, and accepts the first whose max
     residual over all constraints is <= tol; when the samples carry
     refinement generators and the targets are callables, acceptance is
-    re-verified on 4x refined samples.
+    re-verified on 4x refined samples.  Those rows (points, derivative
+    order, target values) are built once per fit, at the first degree that
+    reaches them (:func:`_refined_rows`): each sample is refined once and
+    each callable evaluated once on its refined points, however many degrees
+    are then checked, and every value is bit for bit what evaluating again
+    at each degree gave.  A fit that never reaches the check refines
+    nothing.
 
     Returns (polynomial, report); raises FitFailureError with the best
     achieved residual when no degree within the cap verifies.
@@ -171,6 +178,7 @@ def two_set_poly_fit(
     cap = min(max_degree, len(z) - 1)
     fitted = np.zeros(cap + 1, dtype=complex)
     best_res, best_deg = math.inf, -1
+    refined = None  # the refined rows, built at the first degree that reaches them
     for degree, (column, polynomial) in enumerate(_confluent_arnoldi(z, orders, len(l_points), cap + 1)):
         coefficient = np.einsum("i,i->", column.conj(), residual)
         residual -= coefficient * column
@@ -180,7 +188,9 @@ def two_set_poly_fit(
             poly = Polynomial(fitted)
             res = max(_max_error(poly.derivative(order), points, values) for points, order, values in blocks)
             if res <= tol:
-                verified = _verify_on_refined(poly, k_sample, k_target, l_sample, l_orders, res)
+                if refined is None:
+                    refined = _refined_rows(k_sample, k_target, l_sample, l_orders)
+                verified = _verify_on_refined(poly, refined, res)
                 if verified <= tol:
                     return poly, FitReport(degree, res, verified)
                 res = verified
@@ -200,16 +210,26 @@ def _max_error(f, points: np.ndarray, values: np.ndarray) -> float:
     return np.max(modulus(f(points) - values))
 
 
-def _verify_on_refined(poly, k_sample, k_target, l_sample, l_orders, fallback: float) -> float:
-    """Max residual on 4x refined samples where generators and callables allow."""
-    worst = fallback
+def _refined_rows(k_sample, k_target, l_sample, l_orders) -> list[tuple[np.ndarray, int, np.ndarray]]:
+    """(points, derivative order, target values) of the rows on 4x refined
+    samples, where generators and callables allow: each sample refined once,
+    each target evaluated once on its refined points."""
+    rows = []
     if k_sample is not None and callable(k_target) and k_sample.refine is not None:
         fine = k_sample.refined(4).points
-        worst = max(worst, _max_error(poly, fine, values_on(k_target, fine)))
+        rows.append((fine, 0, values_on(k_target, fine)))
     if l_sample is not None and l_sample.refine is not None and all(callable(t) for t in l_orders):
         fine = l_sample.refined(4).points
-        for order, target in enumerate(l_orders):
-            worst = max(worst, _max_error(poly.derivative(order), fine, values_on(target, fine)))
+        rows += [(fine, order, values_on(target, fine)) for order, target in enumerate(l_orders)]
+    return rows
+
+
+def _verify_on_refined(poly, refined, fallback: float) -> float:
+    """Max residual of a candidate on the refined rows of :func:`_refined_rows`,
+    and at least ``fallback``."""
+    worst = fallback
+    for points, order, values in refined:
+        worst = max(worst, _max_error(poly.derivative(order), points, values))
     return worst
 
 
@@ -295,17 +315,24 @@ def _resultant_over_clusters(f: RationalFunction) -> tuple[bool, complex]:
         return coprime, complex(np.prod(np.array(values, dtype=complex) ** np.array(counts)))
 
 
-def _clearance(f: RationalFunction, points: np.ndarray) -> float:
+def _pair_values(f: RationalFunction, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N and D of f at the points, overflow to inf or NaN without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return f.numerator(points), f.denominator(points)
+
+
+def _clearance(f: RationalFunction, points: np.ndarray, values: tuple[np.ndarray, np.ndarray]) -> float:
     """The least over the points of the larger of |N(z)| and |D(z)|, each in
     units of the bound on its rounding (``series._rounding_bound`` of the
     moduli sum sum_j |c_j| |z - centre|^j); 0.0 unless above 1, that is unless
     N or D is certified non-zero at every point, so that f(z) is decided.
+    ``values`` are N and D at the points (:func:`_pair_values`).
     Both sides are terms of one degree in z, so rescaling z keeps the bits."""
     w = modulus(points - f.center)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         units = [
-            modulus(p(points)) / _rounding_bound(len(p.coefficients), _horner(np.abs(p.coefficients), 0.0, w).real)
-            for p in (f.numerator, f.denominator)
+            modulus(value) / _rounding_bound(len(p.coefficients), _horner(np.abs(p.coefficients), 0.0, w).real)
+            for p, value in zip((f.numerator, f.denominator), values)
         ]
         least = float(np.min(np.fmax(*units)))
     return least if least > 1.0 else 0.0
@@ -360,7 +387,11 @@ def universality_certificate(
     once, and the derivative errors on the derivative sample are 0.  The
     margins (:func:`_clearance`) are measured once, on f's pair; where the K
     margin is not clear the sup is recorded as ``inf``, so the certificate
-    rejects instead of raising.
+    rejects instead of raising.  N and D are evaluated once on each sample:
+    on K their values serve both the margin and the quotient, which
+    ``series._quotient`` forms with the overflow rule of
+    :func:`padelab.series.array_quotient` (NonFiniteValueError), bit for bit
+    the values of evaluating f there again.
     """
     _check_s(s)
     if min(len(centers), len(k_sample), len(delta_sample)) == 0:
@@ -373,11 +404,12 @@ def universality_certificate(
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         hankel = (-1) ** (q * (q - 1) // 2 + p * q) * resultant / at_centers ** (p + q)
 
-    k_points = k_sample.points
-    margin_k, margin_delta = _clearance(f, k_points), _clearance(f, delta_sample.points)
+    k_points, delta_points = k_sample.points, delta_sample.points
+    on_k = _pair_values(f, k_points)
+    margin_k, margin_delta = _clearance(f, k_points, on_k), _clearance(f, delta_points, _pair_values(f, delta_points))
     sup_chordal_k = math.inf
     if margin_k > 0:
-        sup_chordal_k = float(np.max(chordal_array(f(k_points), values_on(target, k_points))))
+        sup_chordal_k = float(np.max(chordal_array(_quotient(*on_k, k_points), values_on(target, k_points))))
     threshold = 1.0 / s
     return UniversalityCertificate(
         p=p,

@@ -97,15 +97,25 @@ def _horner(coefficients: np.ndarray, center, z: np.ndarray) -> np.ndarray:
     order of the scalar complex multiply, and the sum starts from zero as
     in the scalar loop of ``Polynomial.__call__``.  NumPy's complex array
     multiply may fuse or reorder that arithmetic, so the two agree bit for
-    bit only in this form.
+    bit only in this form.  Each step writes into the same four work arrays
+    (``out`` given positionally), with the operations in the same order, so
+    the values are bit for bit those of a step that allocates its results.
     """
     w = z - center
     cr, ci = coefficients.real[::-1].tolist(), coefficients.imag[::-1].tolist()
     wr, wi = w.real.copy(), w.imag.copy()
-    ar = np.zeros(w.shape)
-    ai = np.zeros(w.shape)
+    ar, ai, t, u = np.zeros(w.shape), np.zeros(w.shape), np.empty(w.shape), np.empty(w.shape)
     for c_re, c_im in zip(cr, ci):
-        ar, ai = ar * wr - ai * wi + c_re, ar * wi + ai * wr + c_im
+        # t = ar * wr - ai * wi + c_re, ai = ar * wi + ai * wr + c_im, then t is the new ar
+        np.multiply(ar, wr, t)
+        np.multiply(ai, wi, u)
+        np.subtract(t, u, t)
+        np.add(t, c_re, t)
+        np.multiply(ar, wi, u)
+        np.multiply(ai, wr, ar)
+        np.add(u, ar, ai)
+        np.add(ai, c_im, ai)
+        ar, t = t, ar
     out = np.empty(w.shape, dtype=complex)
     out.real, out.imag = ar, ai
     return out
@@ -142,8 +152,14 @@ def array_quotient(numerator: "Polynomial", denominator: "Polynomial", z: np.nda
     at a finite point decides the quotient, as infinite or 0, only against
     a value of modulus at most 1; elsewhere NonFiniteValueError.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _quotient(numerator(z), denominator(z), z)
+
+
+def _quotient(top: np.ndarray, bottom: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The quotient step of :func:`array_quotient`, on the values ``top`` and
+    ``bottom`` of its numerator and denominator at the points ``z``."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top, bottom = numerator(z), denominator(z)
         quotient, finite = top / bottom, np.isfinite(z)
         huge_top, huge_bottom = ~np.isfinite(top) & finite, ~np.isfinite(bottom) & finite
         if huge_top.any() or huge_bottom.any():
@@ -627,7 +643,10 @@ def series_builtin(name: str, center: complex = 0.0, order: int = 10) -> PowerSe
     """Taylor series of a named elementary function at a center.
 
     Supported names: ``exp``, ``log1m`` (log(1-z), principal branch) and
-    ``geometric`` (1/(1-z)).  The latter two are singular at center 1.
+    ``geometric`` (1/(1-z)).  The latter two are singular at center 1.  A
+    coefficient that overflows, or that an overflow turns into NaN, raises
+    PreconditionError naming the series, the centre and the order, with no
+    warning.
     """
     if order < 0:
         raise PreconditionError(f"series order must be non-negative, got {order}")
@@ -635,29 +654,37 @@ def series_builtin(name: str, center: complex = 0.0, order: int = 10) -> PowerSe
     if not cmath.isfinite(center):
         raise PreconditionError(f"series centre must be finite, got {center!r}")
     n = np.arange(order + 1)
-    if name == "exp":
-        coeffs = np.full(order + 1, cmath.exp(center), dtype=complex)
-        # float(k!) overflows above k = 170; from there on divide step by step
-        head = min(order, 170)
-        coeffs[: head + 1] /= np.array([math.factorial(k) for k in range(head + 1)], dtype=float)
-        for k in range(head + 1, order + 1):
-            coeffs[k] = coeffs[k - 1] / k
-        return PowerSeries(coeffs, center)
-    if name == "log1m":
-        if center == 1.0:
-            raise SingularCenterError("log(1-z) is singular at center 1")
-        coeffs = np.zeros(order + 1, dtype=complex)
-        coeffs[0] = cmath.log(1.0 - center)
-        w = 1.0 - center
-        coeffs[1:] = -1.0 / (n[1:] * w ** n[1:])
-        return PowerSeries(coeffs, center)
-    if name == "geometric":
-        if center == 1.0:
-            raise SingularCenterError("1/(1-z) is singular at center 1")
-        w = 1.0 - center
-        coeffs = 1.0 / w ** (n + 1)
-        return PowerSeries(coeffs, center)
-    raise ValueError(f"unknown builtin series {name!r}")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if name == "exp":
+            try:
+                coeffs = np.full(order + 1, cmath.exp(center), dtype=complex)
+            except OverflowError:
+                coeffs = np.full(order + 1, math.inf, dtype=complex)
+            # float(k!) overflows above k = 170; from there on divide step by step
+            head = min(order, 170)
+            coeffs[: head + 1] /= np.array([math.factorial(k) for k in range(head + 1)], dtype=float)
+            for k in range(head + 1, order + 1):
+                coeffs[k] = coeffs[k - 1] / k
+        elif name == "log1m":
+            if center == 1.0:
+                raise SingularCenterError("log(1-z) is singular at center 1")
+            coeffs = np.zeros(order + 1, dtype=complex)
+            coeffs[0] = cmath.log(1.0 - center)
+            w = 1.0 - center
+            coeffs[1:] = -1.0 / (n[1:] * w ** n[1:])
+        elif name == "geometric":
+            if center == 1.0:
+                raise SingularCenterError("1/(1-z) is singular at center 1")
+            w = 1.0 - center
+            coeffs = 1.0 / w ** (n + 1)
+        else:
+            raise ValueError(f"unknown builtin series {name!r}")
+    if not np.isfinite(coeffs).all():
+        raise PreconditionError(
+            f"the {name} series at centre {center!r} overflows at order {order}: "
+            f"coefficient {int(np.argmin(np.isfinite(coeffs)))} is not finite"
+        )
+    return PowerSeries(coeffs, center)
 
 
 def values_on(f, points: np.ndarray) -> np.ndarray:

@@ -131,6 +131,18 @@ def normality_threshold_loop(series, p, q):
 # --- Horner kernel -----------------------------------------------------------------------
 
 
+def allocating_horner(coefficients, center, z):
+    """The array Horner step written with a new array for every result, the
+    form ``series._horner`` had before it reused its work arrays."""
+    w = z - center
+    ar, ai = np.zeros(w.shape), np.zeros(w.shape)
+    for c in coefficients[::-1].tolist():
+        ar, ai = ar * w.real - ai * w.imag + c.real, ar * w.imag + ai * w.real + c.imag
+    out = np.empty(w.shape, dtype=complex)
+    out.real, out.imag = ar, ai
+    return out
+
+
 class TestHornerKernel:
     def test_polynomial_and_series_match_scalar_loop(self, rng):
         for _ in range(60):
@@ -141,6 +153,35 @@ class TestHornerKernel:
                 assert_same_bits(f(points), np.array([f(complex(z)) for z in points]))
                 grid = points[:12].reshape(3, 4)
                 assert_same_bits(f(grid), np.array([[f(complex(z)) for z in row] for row in grid]))
+
+    @pytest.mark.parametrize("shape", [(), (13,), (3, 5)])
+    def test_kernel_matches_scalar_loop_at_every_kind_of_point(self, rng, shape):
+        # at finite, infinite, NaN, overflowing and signed-zero points the kernel
+        # has the scalar loop's bits, signs of zero included, and its NaNs in the
+        # same parts (IEEE 754 leaves a NaN's sign to the operation that made it);
+        # it has every bit of the step that allocates its results, NaNs included
+        special = [complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 1.0),
+                   complex(-math.inf, math.nan), complex(1e200, -1e200), complex(-0.0, 0.0),
+                   complex(0.0, -0.0), complex(-0.0, -0.0)]
+        size = math.prod(shape)
+        for _ in range(40):
+            degree = int(rng.integers(0, 13))
+            coeffs, center = random_coefficients(rng, degree), complex(rng.choice([0.0, -0.0]), 0.0)
+            points = np.concatenate([np.array(special), 2.0 * complex_normal(rng, size)])
+            points = rng.permutation(points)[:size].reshape(shape)
+            poly = Polynomial(coeffs, center)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = poly(points)
+                want = np.array([poly(complex(z)) for z in points.ravel()]).reshape(shape)
+                allocated = allocating_horner(poly.coefficients, poly.center, points)
+            assert got.shape == shape
+            assert_same_bits(np.atleast_1d(got), np.atleast_1d(allocated))
+            for part in (np.real, np.imag):
+                g, w = np.atleast_1d(part(got)), np.atleast_1d(part(want))
+                nan = np.isnan(w)
+                assert np.array_equal(np.isnan(g), nan)
+                assert np.array_equal(g[~nan].view(np.uint64), w[~nan].view(np.uint64))
+                assert np.array_equal(np.signbit(g[~nan]), np.signbit(w[~nan]))
 
     def test_zero_polynomial(self):
         points = np.array([0.5 - 1j, -2.0 + 0j])

@@ -262,6 +262,12 @@ class TestNonFiniteInputs:
         ("pade --builtin log1m --p 1 --q 1 --center inf", "series centre must be finite, got (inf+0j)"),
         ("pade --builtin geometric --p 1 --q 1 --center inf", "series centre must be finite, got (inf+0j)"),
         ("pade --builtin geometric --p 1 --q 1 --center nan", "series centre must be finite, got (nan+0j)"),
+        ("pade --builtin geometric --p 2 --q 3 --center=1e300",
+         "the geometric series at centre (1e+300+0j) overflows at order 5: coefficient 2 is not finite"),
+        ("pade --builtin log1m --p 2 --q 3 --center=1e300",
+         "the log1m series at centre (1e+300+0j) overflows at order 5: coefficient 2 is not finite"),
+        ("pade --builtin exp --p 2 --q 3 --center=800",
+         "the exp series at centre (800+0j) overflows at order 5: coefficient 0 is not finite"),
         ("cascade --eps 0", "--eps must be positive and finite, got 0.0"),
         ("cascade --eps=-1", "--eps must be positive and finite, got -1.0"),
         ("cascade --eps nan", "--eps must be positive and finite, got nan"),

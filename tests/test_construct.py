@@ -73,6 +73,7 @@ def per_degree_fit(k, k_target, grid, l_targets, tol):
     scale = max(1.0, float(np.abs(points - shift).max()))
     targets = [k_target(k.points)] + [target(grid.points) for target in l_targets]
     b = np.concatenate(targets)
+    refined = construct._refined_rows(k, k_target, grid, l_targets)
     for degree in range(41):
         a = np.vstack([derivative_rows(k.points, degree, 0, shift, scale)] + [
             derivative_rows(grid.points, degree, order, shift, scale)
@@ -84,7 +85,7 @@ def per_degree_fit(k, k_target, grid, l_targets, tol):
         poly = Polynomial(coeffs / scale ** np.arange(degree + 1), shift).recentered(0.0)
         values = [poly(k.points)] + [poly.derivative(order)(grid.points) for order in range(len(l_targets))]
         res = max(np.max(np.abs(v - t)) for v, t in zip(values, targets))
-        if res <= tol and construct._verify_on_refined(poly, k, k_target, grid, l_targets, res) <= tol:
+        if res <= tol and construct._verify_on_refined(poly, refined, res) <= tol:
             return degree, poly
     return None
 
@@ -262,6 +263,32 @@ class TestTwoSetPolyFit:
         with_grid = two_set_poly_fit(k, lambda z: 1.0 / (z - 1.4), grid, [], 40, 0.1)
         assert alone[1] == with_grid[1]
         assert_same_bits(alone[0].coefficients, with_grid[0].coefficients)
+
+    def test_refined_rows_are_built_once_per_fit(self, monkeypatch):
+        # degrees 14, 15, 16 and 17 meet tol on the rows and reach the refined
+        # check, and 17 passes it; each sample is refined once, and each target
+        # runs once on its rows and once on its refined sample
+        k, grid = circle_sample(2.0, 0.25, 16), disc_grid_sample(0.0, 0.5, 3)
+        sizes = {"k": [len(k.points), len(k.refined(4).points)],
+                 "value": [len(grid.points), len(grid.refined(4).points)]}
+        sizes["derivative"] = sizes["value"]
+        calls = {name: [] for name in sizes}
+
+        def counted(name, f):
+            def target(z):
+                calls[name].append(len(z))
+                return f(z)
+            return target
+
+        refined, refinements = CompactSample.refined, []
+        monkeypatch.setattr(CompactSample, "refined", lambda sample, factor: refinements.append(sample) or refined(sample, factor))
+        verify, checks = construct._verify_on_refined, []
+        monkeypatch.setattr(construct, "_verify_on_refined", lambda *args: checks.append(args) or verify(*args))
+        targets = [counted("value", lambda z: z * z), counted("derivative", lambda z: 2.0 * z)]
+        _, report = two_set_poly_fit(k, counted("k", lambda z: 1.0 / (z - 3.0)), grid, targets, 40, 0.05)
+        assert report.degree == 17 and len(checks) == 4
+        assert calls == sizes
+        assert len(refinements) == 2 and refinements[0] is k and refinements[1] is grid
 
 
 def load_certify_panel():

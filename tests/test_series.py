@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -384,6 +385,45 @@ class TestSeriesBuiltin:
     def test_negative_order_rejected(self, name):
         with pytest.raises(PreconditionError, match="^series order must be non-negative, got -3$"):
             series_builtin(name, 0.0, -3)
+
+    @pytest.mark.parametrize("name, center, order, index", [
+        ("geometric", 1e300, 5, 2),
+        ("geometric", -1e200j, 2, 2),
+        ("log1m", 1e300, 5, 2),
+        ("exp", 800.0, 5, 0),
+        ("exp", complex(710.0, 1.0), 0, 0),
+    ])
+    def test_overflow_names_the_series(self, name, center, order, index):
+        # these raised a bare ValueError after NumPy overflow warnings, or cmath's OverflowError
+        message = (f"the {name} series at centre {complex(center)!r} overflows at order {order}: "
+                   f"coefficient {index} is not finite")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError) as raised:
+                series_builtin(name, center, order)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("name, center, order", [
+        ("exp", 0.0, 12), ("exp", 0.5 - 2.0j, 30), ("exp", 700.0, 12), ("exp", complex(-700.0, 3.0), 12),
+        ("log1m", 0.5 - 2.0j, 12), ("log1m", 1e100, 2),
+        ("geometric", 0.5 - 2.0j, 12), ("geometric", -1e150j, 2),
+    ])
+    def test_finite_coefficients_keep_their_bits(self, name, center, order):
+        # the formulas without the overflow check; at -1e150j the last geometric
+        # coefficient is 1 / inf = 0, finite, and comes without a warning
+        center, n = complex(center), np.arange(order + 1)
+        w = 1.0 - center
+        with np.errstate(over="ignore", invalid="ignore"):
+            if name == "exp":
+                want = np.full(order + 1, cmath.exp(center)) / np.array([math.factorial(k) for k in n], dtype=float)
+            elif name == "log1m":
+                want = np.concatenate([[cmath.log(w)], -1.0 / (n[1:] * w ** n[1:])])
+            else:
+                want = 1.0 / w ** (n + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = series_builtin(name, center, order).coefficients
+        assert_same_bits(got, want)
 
 
 class TestCoefficientArrays:
