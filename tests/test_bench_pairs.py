@@ -65,3 +65,28 @@ def test_summary_reproduces_a_recorded_file(workload):
     record = json.loads((ROOT / "BENCH_27.json").read_text())
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert bench_pairs.summarize(record[workload]["pairs"], metrics) == record[workload]["summary"]
+
+
+def test_pairs_alternate_and_are_written(tmp_path, monkeypatch):
+    # runs are faked; the first side alternates with the seed's position
+    names = [metric["name"] for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = []
+
+    def fake_run(directory, workload, seed):
+        calls.append((directory.name, workload, seed))
+        value = float(seed) + (0.5 if directory.name == "change" else 0.0)
+        return {"correct": True, "metrics": {name: {"value": value} for name in names}}
+
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--number", "99",
+                             "--parent-label", "abc", "--change", "c", "--workloads", "paths",
+                             "--seeds", "1", "2", "3"]) == 0
+    assert calls == [("parent", "paths", 1), ("change", "paths", 1), ("change", "paths", 2),
+                     ("parent", "paths", 2), ("parent", "paths", 3), ("change", "paths", 3)]
+    record = json.loads((tmp_path / "BENCH_99.json").read_text())
+    assert [pair["first"] for pair in record["paths"]["pairs"]] == ["parent", "change", "parent"]
+    assert record["paths"]["summary"]["ops_per_s"]["change_wins"] == 3
+    assert record["paths"]["summary"]["latency_p50_ms"]["change_wins"] == 0

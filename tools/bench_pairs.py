@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Alternating parent/change benchmark pairs, written as one BENCH_<n>.json.
 
-Run from the root of a padelab checkout, with two checkouts to compare:
+Run with two checkouts to compare; the file is written in the current
+directory:
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --number 28 \\
         --parent-label 0c4d4fd --change "what the change does" \\
@@ -37,8 +38,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path.cwd()
-COMMAND = "python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds {seconds:g} --trace 0"
+SECONDS = 38  # the benchmark's own run length
+COMMAND = f"python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds {SECONDS} --trace 0"
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -68,10 +69,10 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
-def run_side(directory: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_side(directory: Path, workload: str, seed: int) -> dict:
     """The last output line of one benchmark run in a checkout."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", f"{seconds:g}", "--trace", "0"]
+            "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(argv, cwd=directory, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -87,40 +88,35 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_dir", type=Path)
     parser.add_argument("change_dir", type=Path)
-    parser.add_argument("--number", type=int, required=True, help="n of the BENCH_<n>.json written here")
+    parser.add_argument("--number", type=int, required=True, help="n of the BENCH_<n>.json written")
     parser.add_argument("--parent-label", required=True, help="the parent's commit")
     parser.add_argument("--change", required=True, help="one line on what the change does")
-    parser.add_argument("--method", default=None, help="replaces the default method text")
     parser.add_argument("--workloads", nargs="+", default=["certify", "pade_table", "paths"])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 7919])
-    parser.add_argument("--seconds", type=float, default=38.0)
     args = parser.parse_args(argv)
 
     metrics = json.loads((args.change_dir / "BENCHMARK.json").read_text())["end_to_end"]
-    out = ROOT / f"BENCH_{args.number}.json"
+    checkouts = {"parent": args.parent_dir, "change": args.change_dir}
+    out = Path(f"BENCH_{args.number}.json")
     record = {
         "workloads": args.workloads,
-        "command": COMMAND.format(seconds=args.seconds),
+        "command": COMMAND,
         "host": host(),
         "parent": args.parent_label,
         "change": args.change,
-        "method": args.method or (
-            f"one parent and one change run per seed ({', '.join(map(str, args.seeds))}) at "
-            f"{args.seconds:g} s, alternating which side runs first; each side runs from its own checkout"),
+        "method": (f"one parent and one change run per seed ({', '.join(map(str, args.seeds))}) at "
+                   f"{SECONDS} s, alternating which side runs first; each side runs from its own checkout"),
     }
     for workload in args.workloads:
         pairs = []
         record[workload] = {"summary": {}, "pairs": pairs}
         for i, seed in enumerate(args.seeds):
-            first = "parent" if i % 2 == 0 else "change"
-            pair = {"seed": seed, "first": first}
-            for side in (first, "change" if first == "parent" else "parent"):
-                pair[side] = run_side(args.parent_dir if side == "parent" else args.change_dir,
-                                      workload, seed, args.seconds)
-            pairs.append({"seed": seed, "first": first, "parent": pair["parent"], "change": pair["change"]})
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            runs = {side: run_side(checkouts[side], workload, seed) for side in order}
+            pairs.append({"seed": seed, "first": order[0], "parent": runs["parent"], "change": runs["change"]})
             record[workload]["summary"] = summarize(pairs, metrics)
             out.write_text(json.dumps(record, indent=1) + "\n")
-            ops = [pair[side]["metrics"]["ops_per_s"]["value"] for side in ("parent", "change")]
+            ops = [runs[side]["metrics"]["ops_per_s"]["value"] for side in ("parent", "change")]
             print(f"{workload} seed {seed}: ops_per_s parent {ops[0]:.1f} change {ops[1]:.1f}", flush=True)
     return 0
 
