@@ -52,10 +52,10 @@ from .series import (
     PowerSeries,
     RationalFunction,
     _factor_order,
-    _horner,
+    _margin,
+    _pair_values,
     _quotient,
     _recentered_off_pole,
-    _rounding_bound,
     _synthetic_division,
     _taylor_moduli,
     array_quotient,
@@ -315,29 +315,6 @@ def _resultant_over_clusters(f: RationalFunction) -> tuple[bool, complex]:
         return coprime, complex(np.prod(np.array(values, dtype=complex) ** np.array(counts)))
 
 
-def _pair_values(f: RationalFunction, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """N and D of f at the points, overflow to inf or NaN without a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return f.numerator(points), f.denominator(points)
-
-
-def _clearance(f: RationalFunction, points: np.ndarray, values: tuple[np.ndarray, np.ndarray]) -> float:
-    """The least over the points of the larger of |N(z)| and |D(z)|, each in
-    units of the bound on its rounding (``series._rounding_bound`` of the
-    moduli sum sum_j |c_j| |z - centre|^j); 0.0 unless above 1, that is unless
-    N or D is certified non-zero at every point, so that f(z) is decided.
-    ``values`` are N and D at the points (:func:`_pair_values`).
-    Both sides are terms of one degree in z, so rescaling z keeps the bits."""
-    w = modulus(points - f.center)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        units = [
-            modulus(value) / _rounding_bound(len(p.coefficients), _horner(np.abs(p.coefficients), 0.0, w).real)
-            for p, value in zip((f.numerator, f.denominator), values)
-        ]
-        least = float(np.min(np.fmax(*units)))
-    return least if least > 1.0 else 0.0
-
-
 def universality_certificate(
     f: RationalFunction,
     centers: CompactSample,
@@ -385,9 +362,11 @@ def universality_certificate(
 
     Since every approximant is f, the chordal sup on K is f's own, evaluated
     once, and the derivative errors on the derivative sample are 0.  The
-    margins (:func:`_clearance`) are measured once, on f's pair; where the K
-    margin is not clear the sup is recorded as ``inf``, so the certificate
-    rejects instead of raising.  N and D are evaluated once on each sample:
+    margins are measured once, on f's pair: each is the least over its
+    sample of ``series._margin``, recorded as 0.0 unless above 1, that is
+    unless f(z) is decided at every point.  Where the K margin is 0.0 the
+    sup is recorded as ``inf``, so the certificate rejects instead of
+    raising.  N and D are evaluated once on each sample (``series._pair_values``):
     on K their values serve both the margin and the quotient, which
     ``series._quotient`` forms with the overflow rule of
     :func:`padelab.series.array_quotient` (NonFiniteValueError), bit for bit
@@ -405,8 +384,12 @@ def universality_certificate(
         hankel = (-1) ** (q * (q - 1) // 2 + p * q) * resultant / at_centers ** (p + q)
 
     k_points, delta_points = k_sample.points, delta_sample.points
-    on_k = _pair_values(f, k_points)
-    margin_k, margin_delta = _clearance(f, k_points, on_k), _clearance(f, delta_points, _pair_values(f, delta_points))
+    on_k = _pair_values(f.numerator, f.denominator, k_points)
+    on_delta = _pair_values(f.numerator, f.denominator, delta_points)
+    margin_k, margin_delta = (  # each least margin, 0.0 unless f is decided at every point
+        least if (least := float(np.min(_margin(f.numerator, f.denominator, *values, points)))) > 1.0 else 0.0
+        for values, points in ((on_k, k_points), (on_delta, delta_points))
+    )
     sup_chordal_k = math.inf
     if margin_k > 0:
         sup_chordal_k = float(np.max(chordal_array(_quotient(*on_k, k_points), values_on(target, k_points))))
@@ -454,8 +437,8 @@ def universality_pipeline(
     (N + p D)/D once, at its own type (numerator degree, denominator
     degree); a rejection raises CertificateRejectedError.  D is monic and coprime
     to N by construction (:func:`principal_parts`), and so to N + p D: the
-    sum is formed over D and is not normalized.  mu' on the grid comes from
-    :func:`padelab.series.derivative_values`.
+    sum is formed over D and is not normalized.  mu' on the grid is
+    (N' - D' mu) / D, from :func:`padelab.series.derivative_values`.
 
     The fit is certified without the paper's exact-degree perturbation:
     the coefficient trim (``series.TRIM_RTOL``) already fixes its type (the
@@ -475,7 +458,7 @@ def universality_pipeline(
         return smooth_target(z) - mu(z)
 
     def l_derivative(z):
-        return smooth_prime(z) - derivative_values(mu.numerator, mu.denominator, z, 1)[1]
+        return smooth_prime(z) - derivative_values(mu.numerator, mu.denominator, z)
 
     fitted, report = two_set_poly_fit(
         k_sample, k_target, centers, [l_value, l_derivative], max_degree, tol

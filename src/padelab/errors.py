@@ -67,7 +67,8 @@ class IndeterminateValueError(NumericError):
 
 
 class NonFiniteValueError(NumericError):
-    """A polynomial's value overflows at a finite evaluation point."""
+    """A value overflows from finite input: a polynomial's at a finite
+    evaluation point, or a determinant of the Pade construction."""
 
 
 class PrecisionTooCoarseError(NumericError):

@@ -29,19 +29,20 @@ the largest coefficient magnitude in the Hankel window.
 
 An approximant is evaluated on whole arrays of sample points:
 :func:`common_zero_margin` and :func:`evaluate_extended_array` take the
-sample at once, with the same values bit for bit as a point-by-point loop;
-:func:`evaluate_extended` is the one-point wrapper.  Both apply one rule: a
-point is clear of a common zero when ``|A|^2 + |B|^2 > (COMMON_ZERO_RTOL *
-s)^2``, s the coefficient scale; evaluation raises exactly where it is not.
-Each takes one approximant.  The universality certificate builds none: a
-rational at its own type is its own approximant at every regular center
+sample at once; :func:`evaluate_extended` is the one-point wrapper.  Both
+apply the certificate's rule, ``series._margin``: a point is clear of a
+common zero when |A| or |B| there exceeds the bound on its rounding, a
+test of terms of one degree in z that rescaling z does not move.
+Evaluation raises exactly where a point is not clear, and elsewhere gives
+the approximant's own value bit for bit.  Each takes one approximant.
+The universality certificate builds none: a rational at its own type is
+its own approximant at every regular center
 (:func:`padelab.construct.universality_certificate`), so it measures the
 rational itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,20 +52,21 @@ from .errors import (
     IndeterminateValueError,
     InsufficientSeriesError,
     InvalidSampleError,
+    NonFiniteValueError,
 )
 from .samples import CompactSample
 from .series import (
     Polynomial,
     PowerSeries,
     RationalFunction,
+    _margin,
+    _pair_values,
+    _quotient,
     modulus,
     partial_sum,
-    square,
 )
 
 NORMALITY_RTOL = 1e-10
-# |A|^2 + |B|^2 counts as clear of a common zero above (COMMON_ZERO_RTOL * s)^2.
-COMMON_ZERO_RTOL = 1e-10
 
 
 def _lu_determinant(matrix: np.ndarray) -> complex:
@@ -102,7 +104,8 @@ def hankel_determinant(series: PowerSeries, p: int, q: int) -> complex:
     """The q x q Hankel determinant with rows (a_{p-q+i}, ..., a_{p+i-1}).
 
     Coefficients with negative index are zero; q = 0 returns 1.  Raises
-    InsufficientSeriesError when the series is shorter than p+q-1.
+    InsufficientSeriesError when the series is shorter than p+q-1, and
+    NonFiniteValueError, with no warning, where the determinant overflows.
     """
     if p < 0 or q < 0:
         raise ValueError("orders must be non-negative")
@@ -113,7 +116,11 @@ def hankel_determinant(series: PowerSeries, p: int, q: int) -> complex:
             f"Hankel({p},{q}) needs coefficients through {p + q - 1}, "
             f"series truncated at {series.truncation_order}"
         )
-    return _lu_determinant(_coefficient_block(series, p, q, q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = _lu_determinant(_coefficient_block(series, p, q, q))
+    if not np.isfinite(det):
+        raise NonFiniteValueError(f"the ({p},{q}) Hankel determinant at centre {series.center!r} overflows")
+    return det
 
 
 @dataclass(frozen=True)
@@ -132,11 +139,15 @@ def _normality_of(series: PowerSeries, p: int, q: int, det: complex) -> Normalit
     """The normality verdict on a (p, q) Hankel value ``det``.
 
     Normal when ``|det| > NORMALITY_RTOL * max(1, s^q)``, with s the
-    largest |a_i| over the Hankel window.
+    largest |a_i| over the Hankel window; NonFiniteValueError where s^q
+    overflows.
     """
     mags = modulus(series.coefficients[max(p - q + 1, 0) : p + q])
     s = float(mags.max(initial=0.0))
-    threshold = NORMALITY_RTOL * max(1.0, s**q)
+    try:  # a float power past the largest double raises OverflowError
+        threshold = NORMALITY_RTOL * max(1.0, s**q)
+    except OverflowError:
+        raise NonFiniteValueError(f"the ({p},{q}) normality floor at centre {series.center!r} overflows") from None
     return NormalityResult(bool(abs(det) > threshold), det, threshold)
 
 
@@ -164,14 +175,6 @@ class PadeApproximant:
     normal: bool
 
     __call__ = RationalFunction.__call__
-
-    def scale(self) -> float:
-        """Largest coefficient magnitude of the pair (their common scale).
-
-        The determinant polynomials carry an arbitrary common factor, so
-        thresholds must be relative to this scale rather than absolute.
-        """
-        return max(self.numerator.coefficient_scale(), self.denominator.coefficient_scale())
 
     def to_data(self) -> dict:
         return {
@@ -202,7 +205,9 @@ def pade_construct(series: PowerSeries, p: int, q: int) -> PadeApproximant:
 
     Needs coefficients through order p+q.  Non-normal input still yields
     the determinant polynomials with ``normal=False``; if both vanish
-    identically the construction is degenerate and raises.
+    identically the construction is degenerate and raises.  Where a
+    cofactor or a coefficient overflows, NonFiniteValueError names p, q and
+    the centre, with no warning.
     """
     if p < 0 or q < 0:
         raise ValueError("orders must be non-negative")
@@ -221,17 +226,20 @@ def pade_construct(series: PowerSeries, p: int, q: int) -> PadeApproximant:
     # of first-row column j removes column j from this q x (q+1) block.
     # Without its last column the block is the Hankel matrix.
     block = _coefficient_block(series, p, q, q + 1)
-    minors = [_lu_determinant(np.delete(block, j, axis=1)) for j in range(q + 1)]
-
     # numerator = sum_j c_j w^{q-j} S_{p-q+j}, denominator = sum_j c_j w^{q-j}.
     num_acc = np.zeros(p + 1, dtype=complex)
     den_acc = np.zeros(q + 1, dtype=complex)
-    for j, minor in enumerate(minors):
-        cofactor = (-1.0) ** j * minor
-        den_acc[q - j] += cofactor
-        k = p - q + j
-        if k >= 0:
-            num_acc[q - j : q - j + k + 1] += cofactor * series.coefficients[: k + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        minors = [_lu_determinant(np.delete(block, j, axis=1)) for j in range(q + 1)]
+        for j, minor in enumerate(minors):
+            cofactor = (-1.0) ** j * minor
+            den_acc[q - j] += cofactor
+            k = p - q + j
+            if k >= 0:
+                num_acc[q - j : q - j + k + 1] += cofactor * series.coefficients[: k + 1]
+    # den_acc holds every cofactor once, so it is finite only where they all are
+    if not (np.isfinite(den_acc).all() and np.isfinite(num_acc).all()):
+        raise NonFiniteValueError(f"the ({p},{q}) Pade determinant polynomials at centre {center!r} overflow")
     num = Polynomial(num_acc, center)
     den = Polynomial(den_acc, center)
     if num.is_zero and den.is_zero:
@@ -242,10 +250,11 @@ def pade_construct(series: PowerSeries, p: int, q: int) -> PadeApproximant:
 
 @dataclass(frozen=True)
 class CommonZeroMargin:
-    """min over a sample of |A|^2 + |B|^2, against the clearance threshold."""
+    """The least over a sample of ``series._margin`` of the pair, the first
+    point where it is taken, and whether it is above 1: the pair is decided,
+    clear of a common zero, at every point."""
 
     min_value: float
-    threshold: float
     at: complex
     clear: bool
 
@@ -253,47 +262,32 @@ class CommonZeroMargin:
         return self.clear
 
 
-def _common_zero_values(scale: float, a: np.ndarray, b: np.ndarray):
-    """``|A|^2 + |B|^2`` at the values ``a``, ``b`` of a pair, and the
-    threshold ``(COMMON_ZERO_RTOL * s)^2`` that a point clear of a common
-    zero exceeds, s the pair's coefficient scale."""
-    return square(modulus(a)) + square(modulus(b)), square(COMMON_ZERO_RTOL * scale)
-
-
 def common_zero_margin(approx: PadeApproximant, sample: CompactSample) -> CommonZeroMargin:
-    """Check the determinant pair has no common zero on the sampled set.
-
-    The minimum is taken at its first point in sample order.
-    """
+    """Check the determinant pair has no common zero on the sampled set."""
     if len(sample) == 0:
         raise InvalidSampleError("empty sample")
     points = sample.points
-    values, threshold = _common_zero_values(
-        approx.scale(), approx.numerator(points), approx.denominator(points)
-    )
-    i = int(np.argmin(values))
-    best, threshold = float(values[i]), float(threshold)
-    return CommonZeroMargin(best, threshold, complex(points[i]), best > threshold)
+    margins = _margin(approx.numerator, approx.denominator, *_pair_values(approx.numerator, approx.denominator, points), points)
+    i = int(np.argmin(margins))
+    return CommonZeroMargin(float(margins[i]), complex(points[i]), bool(margins[i] > 1.0))
 
 
 def evaluate_extended_array(approx: PadeApproximant, z: np.ndarray) -> np.ndarray:
-    """Values on the extended plane at every point of ``z``: A/B, or ``inf``
-    where B is exactly zero.
+    """Values on the extended plane at every point of ``z``, bit for bit
+    those of ``approx(z)``.
 
     Raises IndeterminateValueError, naming the first such point in the
-    order of ``z.flat``, where a point is not clear of a common zero, by the
-    rule of :func:`common_zero_margin`.
+    order of ``z.flat``, where the pair is not decided, by the rule of
+    :func:`common_zero_margin`; elsewhere a zero B gives the point at
+    infinity, and an overflow raises as ``approx(z)`` does.
     """
-    a, b = approx.numerator(z), approx.denominator(z)
-    values, threshold = _common_zero_values(approx.scale(), a, b)
-    indeterminate = ~(values > threshold)
-    if indeterminate.any():
-        raise IndeterminateValueError(f"numerator and denominator both vanish at {z.flat[np.argmax(indeterminate)]}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(b == 0, math.inf, a / b)
+    top, bottom = _pair_values(approx.numerator, approx.denominator, z)
+    undecided = ~(_margin(approx.numerator, approx.denominator, top, bottom, z) > 1.0)
+    if undecided.any():
+        raise IndeterminateValueError(f"numerator and denominator both vanish at {z.flat[np.argmax(undecided)]}")
+    return _quotient(top, bottom, z)
 
 
 def evaluate_extended(approx: PadeApproximant, z: complex) -> complex:
-    """Value on the extended plane at one point: A/B, or ``inf`` where B
-    vanishes; see :func:`evaluate_extended_array`."""
+    """Value on the extended plane at one point; see :func:`evaluate_extended_array`."""
     return complex(evaluate_extended_array(approx, np.array([complex(z)]))[0])

@@ -17,7 +17,7 @@ integration) is built on three value types:
   rescaling z does not move.
   A rational has no arithmetic: one derived from others is formed by its
   caller over a denominator known to be monic and coprime to it
-  (``_normalized=True``), and its derivatives on points come from
+  (``_normalized=True``), and its first derivative on points comes from
   :func:`derivative_values`.
 
 All values are immutable after construction and safe to share across
@@ -34,8 +34,10 @@ bit and an overflow raises the same NonFiniteValueError.  :func:`modulus`
 and :func:`square` are the array forms of the scalar ``abs(z)`` and ``x **
 2`` with the same rounding, :func:`values_on` evaluates a callable or a
 constant on an array of points, and :func:`derivative_values` gives the
-derivatives of a quotient of polynomials on an array by the Leibniz rule,
-without forming them.
+first derivative of a quotient of polynomials on an array by the Leibniz
+rule, without forming it.  :func:`_margin` decides, at every point of an
+array, whether the quotient is decided there: the one test of a common
+zero, shared by the certificate and the Pade approximant.
 
 The Taylor shift (:func:`_synthetic_division`) and the Taylor recurrence
 loop over lists of Python ``complex`` values, which round as NumPy's complex
@@ -152,8 +154,13 @@ def array_quotient(numerator: "Polynomial", denominator: "Polynomial", z: np.nda
     at a finite point decides the quotient, as infinite or 0, only against
     a value of modulus at most 1; elsewhere NonFiniteValueError.
     """
+    return _quotient(*_pair_values(numerator, denominator, z), z)
+
+
+def _pair_values(numerator: "Polynomial", denominator: "Polynomial", z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``numerator(z)`` and ``denominator(z)``, overflow to inf or NaN without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _quotient(numerator(z), denominator(z), z)
+        return numerator(z), denominator(z)
 
 
 def _quotient(top: np.ndarray, bottom: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -169,37 +176,43 @@ def _quotient(top: np.ndarray, bottom: np.ndarray, z: np.ndarray) -> np.ndarray:
         return quotient
 
 
-def derivative_values(
-    numerator: "Polynomial", denominator: "Polynomial", z: np.ndarray, order: int
-) -> list[np.ndarray]:
-    """``[R(z), R'(z), ..., R^(order)(z)]`` for ``R = numerator / denominator``.
+def _margin(numerator: "Polynomial", denominator: "Polynomial", top: np.ndarray, bottom: np.ndarray, z: np.ndarray):
+    """The larger of |N(z)| and |D(z)| at every point, each in units of the
+    bound on its rounding (:func:`_rounding_bound` of the moduli sum sum_j
+    |c_j| |z - centre|^j), on the values ``top`` and ``bottom`` of N and D at
+    the points ``z``.  Above 1, N or D is certified non-zero at the point, so
+    N/D is decided there; 0, not NaN, at an exact zero whose bound is 0.  Both
+    sides are terms of one degree in z, so rescaling z keeps the bits."""
+    w = modulus(z - numerator.center)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        units = [
+            modulus(value) / _rounding_bound(len(p.coefficients), _horner(np.abs(p.coefficients), 0.0, w).real)
+            for p, value in ((numerator, top), (denominator, bottom))
+        ]
+        return np.fmax(np.fmax(*units), 0.0)
+
+
+def derivative_values(numerator: "Polynomial", denominator: "Polynomial", z: np.ndarray) -> np.ndarray:
+    """``R'(z)`` at every point of an ndarray, for ``R = numerator / denominator``.
 
     Differentiating ``D R = N`` by the Leibniz rule gives
 
-        R^(l) = (N^(l) - sum_{k=1..l} C(l, k) D^(k) R^(l-k)) / D,
+        R' = (N' - D' R) / D,
 
-    so every order costs a few array products and one division, from the
-    values of the polynomial derivatives alone: no quotient-rule rational is
-    formed and no normalization is run.  The products are taken in real arithmetic
+    a few array products and two divisions from the values of the
+    polynomials and their derivatives: no quotient-rule rational is formed
+    and no normalization is run.  The product is taken in real arithmetic
     (:func:`_product`), so every value equals the scalar recurrence at that
-    point bit for bit, up to the sign of a zero; order 0 is
-    :func:`array_quotient`.  Like it, a zero denominator gives non-finite
-    entries without a warning.
+    point bit for bit, up to the sign of a zero.  Like
+    :func:`array_quotient`, a zero denominator gives non-finite entries
+    without a warning.
     """
     numerator._check_center(denominator)
-    num_derivs = [numerator.derivative(k)(z) for k in range(order + 1)]
-    # D^(k) vanishes for k > deg D, so those terms are left out of the sum:
-    # where the values are infinite, 0 * inf would add NaN
-    top = min(order, max(denominator.degree, 0))
-    den_derivs = [denominator.derivative(k)(z) for k in range(top + 1)]
-    values = []
+    top, slope, bottom = numerator(z), numerator.derivative()(z), denominator(z)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for ell in range(order + 1):
-            acc = num_derivs[ell]
-            for k in range(1, min(ell, top) + 1):
-                acc = acc - _product(math.comb(ell, k) * den_derivs[k], values[ell - k])
-            values.append(acc / den_derivs[0])
-    return values
+        if denominator.degree > 0:  # else D' = 0 is left out: where R is infinite, 0 * inf would add NaN
+            slope = slope - _product(denominator.derivative()(z), top / bottom)
+        return slope / bottom
 
 
 class Polynomial:

@@ -5,15 +5,18 @@ evaluated whole sample arrays: the scalar Horner loop of
 ``Polynomial.__call__`` and the scalar formulas of the chordal metric, the
 common-zero margin, the extended-plane evaluation and the Leibniz
 recurrence of ``series.derivative_values``, one point at a time in scalar
-arithmetic.  A rational evaluates a point as a one-point array, so its
-point and array calls are compared with each other.  The Hankel and
-cofactor blocks of the Pade construction, sliced from the coefficient
-array, are compared with the per-entry loop that filled them.  Results are
-compared by their bits, so a changed last bit or sign of zero fails.
+arithmetic.  The common-zero rule is the rounding-unit margin of
+``series._margin``, written out as a scalar loop.  A rational evaluates a
+point as a one-point array, so its point and array calls are compared with
+each other.  The Hankel and cofactor blocks of the Pade construction,
+sliced from the coefficient array, are compared with the per-entry loop
+that filled them.  Results are compared by their bits, so a changed last
+bit or sign of zero fails.
 """
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -42,7 +45,6 @@ from padelab import (
 )
 from padelab.errors import IndeterminateValueError, NonFiniteValueError, PoleAtCenterError
 from padelab.pade import (
-    COMMON_ZERO_RTOL,
     NORMALITY_RTOL,
     _coefficient_block,
     _lu_determinant,
@@ -85,33 +87,39 @@ def sup_chordal_loop(f, g, points):
     return best, complex(arg)
 
 
+def margin_loop(num, den, z) -> float:
+    """The larger of |N(z)| and |D(z)| in units of the bound 4 n eps sum_j
+    |c_j| |z - centre|^j on its rounding, at one point; 0.0 where neither is
+    a number (0 / 0 at an exact zero with bound 0, or inf / inf)."""
+    units = []
+    for poly in (num, den):
+        total, w = 0.0, abs(complex(z) - poly.center)
+        for c in np.abs(poly.coefficients)[::-1].tolist():
+            total = total * w + c
+        bound, value = 4.0 * len(poly.coefficients) * sys.float_info.epsilon * total, abs(poly(complex(z)))
+        units.append(value / bound if bound else (math.inf if value else math.nan))
+    return max((u for u in units if not math.isnan(u)), default=0.0)
+
+
 def common_zero_margin_loop(approx, points):
     best, arg = math.inf, points[0]
     for z in points:
-        v = abs(approx.numerator(z)) ** 2 + abs(approx.denominator(z)) ** 2
+        v = margin_loop(approx.numerator, approx.denominator, z)
         if v < best:
             best, arg = v, z
     return float(best), complex(arg)
 
 
 def evaluate_extended_loop(approx, z) -> complex:
-    a, b = approx.numerator(z), approx.denominator(z)
-    if not abs(a) ** 2 + abs(b) ** 2 > (COMMON_ZERO_RTOL * approx.scale()) ** 2:
+    if not margin_loop(approx.numerator, approx.denominator, z) > 1.0:
         raise IndeterminateValueError(f"numerator and denominator both vanish at {z}")
-    return a / b if b != 0 else complex(math.inf)
+    return approx(z)
 
 
-def derivative_values_loop(num, den, z, order):
-    """R(z), R'(z), ..., R^(order)(z) at one point, by the Leibniz rule on D R = N."""
-    n = [num.derivative(k)(z) for k in range(order + 1)]
-    d = [den.derivative(k)(z) for k in range(order + 1)]
-    values = []
-    for ell in range(order + 1):
-        acc = n[ell]
-        for k in range(1, ell + 1):
-            acc -= math.comb(ell, k) * d[k] * values[ell - k]
-        values.append(acc / d[0])
-    return values
+def derivative_values_loop(num, den, z):
+    """R'(z) at one point, by the Leibniz rule on D R = N."""
+    d_prime = den.derivative()(z) if den.degree > 0 else 0j
+    return (num.derivative()(z) - d_prime * (num(z) / den(z))) / den(z)
 
 
 def coefficient_block_loop(series, p, q, columns):
@@ -225,10 +233,9 @@ class TestHornerKernel:
             center = random_center(rng)
             num = Polynomial(random_coefficients(rng, int(rng.integers(0, 13))), center)
             den = Polynomial(random_coefficients(rng, int(rng.integers(0, 5))), center)
-            order = int(rng.integers(0, 7))
             points = center + 2.0 * complex_normal(rng, 57)
-            want = np.array([derivative_values_loop(num, den, complex(z), order) for z in points]).T.copy()
-            assert_same_bits(np.array(derivative_values(num, den, points, order)), want)
+            want = np.array([derivative_values_loop(num, den, complex(z)) for z in points])
+            assert_same_bits(derivative_values(num, den, points), want)
 
 
 # --- chordal metric and its sampled sup ---------------------------------------------------
@@ -300,8 +307,9 @@ class TestPadeArrays:
         points = np.concatenate([complex_normal(rng, 40) * 3.0, [2.0 + 0j, 0j]])
         values = evaluate_extended_array(approx, points)
         want = np.array([evaluate_extended_loop(approx, z) for z in points])
-        assert want[-2] == math.inf
+        assert approx.denominator(2.0) == 0 and not cmath.isfinite(want[-2])
         assert_same_bits(values, want)
+        assert_same_bits(values, approx(points))
         assert_same_bits(np.array([evaluate_extended(approx, z) for z in points]), want)
 
     def test_evaluation_raises_exactly_where_margin_is_not_clear(self):
@@ -313,9 +321,9 @@ class TestPadeArrays:
                 assert not margin.clear
                 return False
             assert margin.clear
-            a, b = approx.numerator(z), approx.denominator(z)
-            assert_same_bits(values[b != 0], a[b != 0] / b[b != 0])
-            assert np.all(values[b == 0] == math.inf)
+            assert margin.min_value == min(margin_loop(approx.numerator, approx.denominator, w) for w in z)
+            assert_same_bits(values, approx(z))
+            assert not np.isfinite(values[approx.denominator(z) == 0]).any()
             return True
 
         # the approximants that the certificate of `universality --target

@@ -316,6 +316,19 @@ class TestExpBeyondFloatFactorials:
         assert capsys.readouterr().err.startswith("numeric failure: ")
 
 
+class TestPadeKernelOverflow:
+    # exp at these centres has finite coefficients (about 4e260 and 1e304),
+    # and products of three of them overflow in the cofactors
+    @pytest.mark.parametrize("centre", ["600", "700"])
+    def test_is_a_typed_numeric_failure_without_warning(self, centre, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["pade", "--builtin", "exp", "--p", "2", "--q", "3", f"--center={centre}"]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            f"numeric failure: the (2,3) Pade determinant polynomials at centre ({centre}+0j) overflow\n"
+        )
+
+
 class TestParserReuse:
     @pytest.fixture(autouse=True)
     def fresh_parser(self):

@@ -1,4 +1,6 @@
 import cmath
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from padelab import (
     circle_sample,
     common_zero_margin,
     evaluate_extended,
+    evaluate_extended_array,
     hankel_determinant,
     normality,
     pade_construct,
@@ -23,11 +26,12 @@ from padelab.errors import (
     IndeterminateValueError,
     InsufficientSeriesError,
     InvalidSampleError,
+    NonFiniteValueError,
 )
 from padelab.samples import segment_sample
 from padelab.series import series_builtin
 
-from conftest import complex_normal, divide_series_ext
+from conftest import assert_same_bits, complex_normal, divide_series_ext
 
 
 class TestHankel:
@@ -54,6 +58,30 @@ class TestHankel:
         det = hankel_determinant(s, 0, 2)
         # rows: (a_{-1}, a_0), (a_0, a_1) = (0, 1), (1, 2)
         assert abs(det - (0 * 2 - 1 * 1)) < 1e-14
+
+
+class TestOverflow:
+    # exp at centre 600 has coefficients near 4e260: finite, but a product of
+    # three overflows, and the determinants with it
+    def test_hankel_determinant_raises_typed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValueError, match=r"^the \(2,3\) Hankel determinant at centre \(600\+0j\) overflows$"):
+                hankel_determinant(series_builtin("exp", 600.0, 5), 2, 3)
+
+    @pytest.mark.parametrize("centre", [600.0, 700.0])
+    def test_pade_construct_raises_typed(self, centre):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValueError, match=rf"^the \(2,3\) Pade determinant polynomials at centre \({centre:g}\+0j\) overflow$"):
+                pade_construct(series_builtin("exp", centre, 5), 2, 3)
+
+    def test_normality_floor_raises_typed(self):
+        # 1/(1-z) at 0.9999: the determinants are finite, s^7 = 1e4^91 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValueError, match=r"^the \(5,7\) normality floor at centre \(0\.9999\+0j\) overflows$"):
+                pade_construct(series_builtin("geometric", 0.9999, 12), 5, 7)
 
 
 class TestNormality:
@@ -208,13 +236,44 @@ class TestCommonZeroMargin:
         assert margin.min_value > 0.1
 
     def test_artificial_common_zero(self):
+        # z / z: at 0 both values and both rounding bounds are exactly 0, and
+        # the margin reads 0.0, not NaN; at 0.25 it is 0.25 / (8 eps 0.25)
         approx = PadeApproximant(
             1, 1, 0.0, Polynomial([0, 1]), Polynomial([0, 1]), 1.0, False
         )
         sample = segment_sample(0.0, 1.0, 5)
         margin = common_zero_margin(approx, sample)
         assert not margin
-        assert margin.min_value == 0.0
+        assert (margin.min_value, margin.at) == (0.0, 0j)
+        away = common_zero_margin(approx, CompactSample(np.array([0.25 + 0j]), "point", 1.0))
+        assert away and away.min_value == 0.25 / (8.0 * sys.float_info.epsilon * 0.25)
+
+    def test_rescaling_keeps_verdict_and_bits(self):
+        # (z - 0.5)(1 + 2z) / (z - 0.5) at 0.5 + d, and at z -> 2^k z: coefficient
+        # j times 2^(-kj) and the points times 2^k, exact in binary
+        offsets = (1e-9, 1e-10, 1e-12, 1e-14, 1e-15, 1e-16)
+
+        def outcome(k):
+            num, den = (Polynomial(np.array(c) * 2.0 ** (-k * np.arange(len(c)))) for c in ([-0.5, 0.0, 2.0], [-0.5, 1.0]))
+            approx = PadeApproximant(2, 1, 0.0, num, den, 1.0, False)
+            margins, raised = [], []
+            for d in offsets:
+                z = np.array([2.0**k * (0.5 + d)])
+                margins.append(common_zero_margin(approx, CompactSample(z, "point", 1.0)))
+                try:
+                    evaluate_extended_array(approx, z)
+                    raised.append(False)
+                except IndeterminateValueError:
+                    raised.append(True)
+            return [m.clear for m in margins], np.array([m.min_value for m in margins]), raised
+
+        clear, values, raised = outcome(0)
+        assert clear == [True, True, True, True, False, False]
+        assert raised == [not c for c in clear]
+        for k in range(-6, 7):
+            clear_k, values_k, raised_k = outcome(k)
+            assert clear_k == clear and raised_k == raised
+            assert_same_bits(values_k, values)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(InvalidSampleError):
