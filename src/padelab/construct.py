@@ -14,7 +14,7 @@ This module turns existence arguments into checkable computations:
   margins and the chordal sup against a target are measured once, on the
   function itself, and aggregated into the two membership flags.
   :func:`universality_pipeline` certifies a fit plus the target's singular
-  part once, at its own type, which the coefficient trim fixes.
+  part once, at its own type, whatever that type is.
 * :func:`principal_parts` / :func:`residue_correction` -- pole-local
   corrections: the first extracts the singular part of a rational function
   inside a region, the second removes the Laurent coefficients of orders
@@ -441,8 +441,8 @@ def universality_pipeline(
     (N' - D' mu) / D, from :func:`padelab.series.derivative_values`.
 
     The fit is certified without the paper's exact-degree perturbation:
-    the coefficient trim (``series.TRIM_RTOL``) already fixes its type (the
-    README gives the measurement).
+    normality is coprimality, which holds at any type, so the fit is its
+    own Pade approximant at the type it has (the README explains).
 
     ``smooth_target`` is a Polynomial.  ``s`` is checked as the certificate
     checks it, before the fit.

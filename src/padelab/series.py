@@ -4,9 +4,9 @@ Everything downstream (Pade construction, chordal approximation, path
 integration) is built on three value types:
 
 * :class:`Polynomial` -- complex coefficients in powers of ``(z - center)``;
-  trailing coefficients below a scale-relative floor are trimmed, in one
-  pass over the moduli that also stands in for the finite check, and the
-  zero polynomial reports the sentinel degree ``-1``.
+  trailing coefficients that are exactly 0 are trimmed, in one pass over
+  the moduli that also stands in for the finite check, and the zero
+  polynomial reports the sentinel degree ``-1``.
 * :class:`PowerSeries` -- truncated Taylor coefficients ``a_0..a_N`` at a
   center; the truncation order is ``len(coefficients) - 1``.
 * :class:`RationalFunction` -- a coprime numerator/denominator pair with a
@@ -65,9 +65,6 @@ from .errors import (
     SingularCenterError,
 )
 
-# Trailing coefficients are dropped when |c| <= TRIM_RTOL * max |c|; the
-# purely relative floor keeps the degree stable under scalar multiplication.
-TRIM_RTOL = 1e-13
 # A Taylor remainder at most FACTOR_RTOL times the size of its terms vanishes (_factor_order).
 FACTOR_RTOL = 1e-9
 # |B(center)| below POLE_RTOL * coefficient scale counts as a pole.
@@ -75,12 +72,11 @@ POLE_RTOL = 1e-12
 
 
 def _trimmed_length(coefficients: np.ndarray) -> tuple[int, float]:
-    """Length of the coefficients once the trailing ones with ``|c| <=
-    TRIM_RTOL * max |c|`` are dropped, 0 when all are zero; and that ``max |c|``."""
+    """Length of the coefficients once the trailing exact zeros are dropped,
+    0 when all are zero; and ``max |c|``."""
     mags = np.abs(coefficients)
     scale = mags.max()
-    kept = mags > TRIM_RTOL * scale
-    return (len(coefficients) - kept[::-1].argmax()) * (scale > 0), scale
+    return (len(coefficients) - (mags[::-1] > 0).argmax()) * (scale > 0), scale
 
 
 def _differentiated(coefficients: np.ndarray, order: int) -> np.ndarray:
@@ -400,15 +396,16 @@ def _newton(f: Polynomial, df: Polynomial, z: complex) -> complex:
 def denominator_poles(rational: "RationalFunction") -> list[tuple[complex, int, float]]:
     """The denominator's roots as certified clusters ``(centre, count, radius)``.
 
-    The discs ``|z - centre| < radius`` are disjoint, and each holds exactly
-    ``count`` roots of the denominator B (:func:`_root_disc_radius`).  The
-    computed roots of B start as one group each, in order of real then
-    imaginary part; while a group's disc, for a count equal to its size, is
-    infinite or meets another, the widest such group is merged with the
-    group whose centre is nearest.  A group of one is polished by Newton on
-    B.  A group of m is centred by Newton on B^(m-1) from the mean of its
-    computed roots, which is well conditioned (Zeng, Math. Comp. 74, 2005),
-    and a true m-fold root is simple there.
+    The discs ``|z - centre| < radius`` are disjoint, each holds exactly
+    ``count`` roots of the denominator B (:func:`_root_disc_radius`), and
+    every radius is finite.  The computed roots of B start as one group
+    each, in order of real then imaginary part; while a group's disc, for a
+    count equal to its size, is infinite or meets another, the widest such
+    group is merged with the group whose centre is nearest.  A group of one
+    is polished by Newton on B.  A group of m is centred by Newton on
+    B^(m-1) from the mean of its computed roots, which is well conditioned
+    (Zeng, Math. Comp. 74, 2005), and a true m-fold root is simple there.
+    NonFiniteValueError where the disc of the last group overflows.
     """
     return list(rational._clusters or _root_clusters(rational.denominator)[0])
 
@@ -438,6 +435,9 @@ def _root_clusters(den: Polynomial) -> tuple[list[tuple[complex, int, float]], l
         scaled = den.coefficients[m - 1:] * np.array([math.comb(n + m - 1, n) for n in range(len(den.coefficients) - m + 1)], dtype=float)
         centre = _newton(Polynomial(scaled), Polynomial(_differentiated(scaled, 1)), sum(groups[i]) / m)
         clusters[i] = (centre, m, _root_disc_radius(den, centre, m))
+    # an infinite disc meets every other, so it is left only as the one cluster, whose radius overflowed
+    if clusters[0][2] == math.inf:
+        raise NonFiniteValueError(f"the root disc of the denominator about {clusters[0][0]!r} overflows")
     return clusters, members
 
 

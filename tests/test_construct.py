@@ -337,18 +337,10 @@ def oracle_sup_chordal(f, centers, k, target):
 
 
 def rescaled(f, k):
-    """f(z / 2^k) exactly: coefficient j times 2^(k(n - j)), n = deg D, so D stays monic.
-
-    The coefficients are kept as they are: the Polynomial constructor would
-    drop a leading coefficient that the rescaling takes below TRIM_RTOL of
-    the largest, which changes the type, a verdict made before the certificate.
-    """
+    """f(z / 2^k) exactly: coefficient j times 2^(k(n - j)), n = deg D, so D stays monic."""
     n = f.denominator.degree
     scale = 2.0 ** (k * (n - np.arange(max(len(f.numerator.coefficients), n + 1))))
-    num, den = (object.__new__(Polynomial) for _ in range(2))
-    for poly, old in ((num, f.numerator), (den, f.denominator)):
-        object.__setattr__(poly, "coefficients", old.coefficients * scale[: len(old.coefficients)])
-        object.__setattr__(poly, "center", old.center)
+    num, den = (Polynomial(old.coefficients * scale[: len(old.coefficients)], old.center) for old in (f.numerator, f.denominator))
     return RationalFunction(num, den, _normalized=True)
 
 

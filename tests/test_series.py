@@ -23,7 +23,7 @@ from padelab.errors import (
     PreconditionError,
     SingularCenterError,
 )
-from padelab.series import TRIM_RTOL, _root_disc_radius, _synthetic_division, denominator_poles
+from padelab.series import _root_disc_radius, _synthetic_division, denominator_poles
 
 from conftest import assert_same_bits, complex_normal
 
@@ -69,9 +69,12 @@ class TestPolynomialAlgebra:
         assert poly(1, 2).degree == 1
 
     def test_trimming_is_scale_invariant(self):
+        # only exact zeros are trimmed, so a small leading coefficient keeps its degree under
+        # scalar multiplication and under z -> 2^k z, which scales coefficient j by 2^(kj) exactly
         base = [1.0, 2.0, 1e-20]
-        small = Polynomial([1e-9 * c for c in base])
-        assert small.degree == Polynomial(base).degree == 1
+        assert Polynomial(base).degree == Polynomial([1e-9 * c for c in base]).degree == 2
+        for k in range(-6, 7):
+            assert Polynomial([c * 2.0 ** (k * j) for j, c in enumerate(base)]).degree == 2
 
 
 class TestRationalNormalize:
@@ -215,6 +218,16 @@ class TestRootDiscRadius:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _root_disc_radius(Polynomial(coefficients), complex(pole), mult) == math.inf
+
+    def test_overflowing_disc_of_a_far_root_raises_typed(self):
+        # (z - 1e200)(z + 1): the Pellet terms about 1e200 overflow, so -1 is merged into
+        # one infinite disc, which would read as a double pole at 5e199
+        den = Polynomial([-1e200, 1.0 - 1e200, 1.0])
+        assert den.degree == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValueError, match=r"^the root disc of the denominator about \(5e\+199\+0j\) overflows$"):
+                RationalFunction(Polynomial([1.0]), den)
 
 
 class TestArrayQuotient:
@@ -448,9 +461,9 @@ def reference_coefficients(coefficients):
         arr = np.zeros(1, dtype=complex)
     if not np.all(np.isfinite(arr)):
         raise ValueError("coefficients must be finite")
-    mags = np.abs(arr)
-    scale = mags.max(-1, keepdims=True)
-    n = int((arr.shape[-1] - (mags > TRIM_RTOL * scale)[..., ::-1].argmax(-1)) * (scale[..., 0] > 0))
+    n = len(arr)
+    while n and arr[n - 1] == 0:  # exact zeros only, -0.0 among them
+        n -= 1
     return arr[:n].copy() if n else np.zeros(1, dtype=complex)
 
 
@@ -492,7 +505,8 @@ def reference_taylor(rational, center, order):
 
 def random_coefficient_array(rng, length):
     """Coefficients of mixed scales, with exact and negative zeros, the least
-    subnormal, overflowing moduli and a trailing entry near the trim floor."""
+    subnormal and overflowing moduli, and at times a tail drawn from exact
+    zeros, negative zeros and the least subnormal."""
     c = complex_normal(rng, length) * 10.0 ** rng.uniform(-6, 6, length)
     for i, (pick, coin) in enumerate(rng.integers(12, size=(length, 2)).tolist()):
         if pick == 0:
@@ -503,11 +517,10 @@ def random_coefficient_array(rng, length):
             c[i] = complex(5e-324, 0.0) if coin % 2 else complex(-0.0, 5e-324)
         elif pick == 3 and coin < 3:
             c[i] = complex(1.5e308, -1.5e308) if coin % 2 else complex(-1.5e308, 1.5e308)
-    scale = float(np.abs(c[:-1]).max()) if length > 1 else math.inf
-    if scale < math.inf and rng.integers(2):
-        # a last entry within a few ulps of TRIM_RTOL times the largest modulus
-        tail = TRIM_RTOL * scale * (1.0 + int(rng.integers(-3, 4)) * 2.0**-52)
-        c[-1] = complex(tail, 0.0) if rng.integers(2) else complex(0.0, -tail)
+    if length > 1 and rng.integers(2):
+        tiny = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(5e-324, 0.0), complex(-0.0, -5e-324)]
+        for i in range(int(rng.integers(1, length)), length):
+            c[i] = tiny[rng.integers(len(tiny))]
     return c
 
 
@@ -535,8 +548,8 @@ class TestKernelsKeepTheirBits:
     @pytest.mark.parametrize("coefficients, kept", [
         ([], [0j]),
         (np.complex128(0.0), [0j]),
-        ([1.5e308 + 1.5e308j, 1e-300, 0.0], [1.5e308 + 1.5e308j, 1e-300, 0.0]),
-        ([1.0, 1e-13, 0.0], [1.0]),
+        ([1.5e308 + 1.5e308j, 1e-300, 0.0], [1.5e308 + 1.5e308j, 1e-300]),
+        ([1.0, 1e-13, 0.0], [1.0, 1e-13]),
         ([-0.0, 0.0], [0j]),
     ])
     def test_constructor_edge_cases(self, coefficients, kept):
